@@ -9,6 +9,8 @@
 //! superblock fast path. Used to validate the numbers quoted in DESIGN.md
 //! ("Superblock stepping"); the simulated schedule is byte-identical in
 //! both modes, so toggling mid-run is safe.
+
+#![forbid(unsafe_code)]
 use std::time::Instant;
 use ztm_isa::gr::*;
 use ztm_sim::{System, SystemConfig};

@@ -9,6 +9,8 @@
 //! directory walk), a 36-CPU CAS handoff (XI storm), and the two fig 5(e)
 //! hashtable shapes (the real mix).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 use ztm_isa::{gr::*, Assembler, MemOperand};
 use ztm_mem::Address;
@@ -105,57 +107,6 @@ fn time_steps(sys: &mut System, n: u64, label: &str) {
     );
 }
 
-/// The sharded-driver bracket (5e below), also runnable on its own via
-/// `ZTM_STEPBENCH_ONLY_SHARDED=1` so CI can track the sharded ns/step
-/// without paying for the whole attribution grid.
-fn sharded_bracket(n: u64) {
-    for (label, threads, window, adapt) in [
-        ("fig5e elision 36cpu serial", 1usize, None, true),
-        ("fig5e elision 36cpu 2t w1", 2, Some(1usize), true),
-        ("fig5e elision 36cpu 2t fixed", 2, None, false),
-        ("fig5e elision 36cpu 2t adapt", 2, None, true),
-    ] {
-        let table = HashTable::new(256, 1024, 20, TableMethod::Elision);
-        let mut sys = System::new(SystemConfig::with_cpus(36).seed(42));
-        sys.set_sim_threads(threads);
-        sys.set_shard_adapt(adapt);
-        if let Some(w) = window {
-            sys.set_shard_window(w);
-        }
-        table.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        let prog = table.program(1_000_000);
-        sys.load_program_all(&prog);
-        for i in 0..sys.cpus() {
-            let arena = 0x2000_0000u64 + i as u64 * 0x10_0000;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        time_steps(&mut sys, n, label);
-        let s = sys.report().sharding;
-        if s.rounds > 0 {
-            println!(
-                "{:<28} rounds={} mean_round={:.1} chain_max={} rollbacks={} replayed={}",
-                "",
-                s.rounds,
-                s.mean_round_steps(),
-                s.chain_max,
-                s.rollbacks,
-                s.replayed
-            );
-            if s.window_cpus > 0 {
-                println!(
-                    "{:<28} windows min={} mean={:.1} max={} clamped={}/{}",
-                    "",
-                    s.window_min,
-                    s.mean_window(),
-                    s.window_max,
-                    s.window_clamped,
-                    s.window_cpus
-                );
-            }
-        }
-    }
-}
-
 /// The superblock on/off bracket: the same system per shape, stepped with
 /// the superblock fast path engaged ("sb") and forced off ("scalar"). Also
 /// runnable on its own via `ZTM_STEPBENCH_ONLY_SUPERBLOCK=1` so CI can
@@ -203,10 +154,6 @@ fn superblock_bracket(n: u64) {
 fn main() {
     let n = 4_000_000u64;
 
-    if ztm_sim::env_flag("ZTM_STEPBENCH_ONLY_SHARDED") {
-        sharded_bracket(n);
-        return;
-    }
     if ztm_sim::env_flag("ZTM_STEPBENCH_ONLY_SUPERBLOCK") {
         superblock_bracket(n);
         return;
@@ -375,13 +322,18 @@ fn main() {
     }
     time_steps(&mut sys, n, "fig5e purestm 36cpu");
 
-    // 5e. The sharded driver on the real mix: the same fig5e elision shape
-    // stepped serially, sharded with the conservative 1-cycle window
-    // (rollback-free), and sharded with the default speculative window
-    // (epoch journals + rollback). All three produce byte-identical
-    // simulated outcomes; the ns/step spread is the host-side price of
-    // each coordination regime on a given host core count.
-    sharded_bracket(n);
+    // 5e. The untraced fig5e elision shape again, on a fresh system late in
+    // the run: the serial scheduler's reference row.
+    let table = HashTable::new(256, 1024, 20, TableMethod::Elision);
+    let mut sys = System::new(SystemConfig::with_cpus(36).seed(42));
+    table.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
+    let prog = table.program(1_000_000);
+    sys.load_program_all(&prog);
+    for i in 0..sys.cpus() {
+        let arena = 0x2000_0000u64 + i as u64 * 0x10_0000;
+        sys.core_mut(i).set_gr(R7, arena);
+    }
+    time_steps(&mut sys, n, "fig5e elision 36cpu serial");
 
     // 5f. Superblock stepping on/off across three shapes: the dispatch-floor
     // attribution behind DESIGN.md's "Superblock stepping" numbers.

@@ -20,6 +20,8 @@
 //! `cargo run --release -p ztm-bench --bin fig5b`.
 //! Set `ZTM_QUICK=1` for a reduced sweep.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,27 +112,21 @@ pub fn bench_threads() -> usize {
     })
 }
 
-/// Intra-run host threads (`ZTM_SIM_THREADS`) in effect for the systems
-/// this process builds — the sharded-simulation dial, as opposed to
-/// [`bench_threads`], which fans independent sweep points out.
-pub fn sim_threads() -> usize {
-    ztm_sim::env_usize("ZTM_SIM_THREADS").unwrap_or(1)
-}
-
 /// Runs `f` over every config, fanning the points out across worker threads,
 /// and returns the results **in input order**.
 ///
 /// Each point is an independent simulation: `f` constructs its own
-/// [`System`] (a `System` is not `Send` — its tracer hands out `Rc`s — so it
-/// must live and die inside the worker that runs it). Determinism is
+/// [`System`] inside the worker that runs it, so no simulation state crosses
+/// threads. (A `System` is `Send` — its tracer shares `Arc`s, asserted at
+/// compile time below — but `sweep` never relies on it.) Determinism is
 /// unaffected: a simulation's outcome depends only on its config and seed,
 /// never on which host thread runs it, so the result vector — and therefore
 /// the table printed from it — is byte-identical for any thread count,
 /// including 1. Workers claim points dynamically (an atomic cursor), which
 /// load-balances sweeps whose cost grows steeply with the CPU count.
 ///
-/// Traced runs (those that keep a `Recorder` for metrics export) should stay
-/// outside `sweep`, since the recorder is thread-local by construction.
+/// Traced runs (those that keep a `Recorder` for metrics export) stay
+/// outside `sweep`: each exported trace describes one run.
 pub fn sweep<C, R, F>(configs: Vec<C>, f: F) -> Vec<R>
 where
     C: Sync,
@@ -139,6 +135,12 @@ where
 {
     sweep_with(bench_threads(), configs, f)
 }
+
+// Pin `System: Send` so a non-`Send` field cannot slip in unnoticed.
+const _: () = {
+    fn assert_send<T: Send>() {}
+    let _ = assert_send::<System>;
+};
 
 /// [`sweep`] with an explicit worker count (exposed for tests).
 pub fn sweep_with<C, R, F>(threads: usize, configs: Vec<C>, f: F) -> Vec<R>
@@ -224,10 +226,6 @@ pub struct Timing {
     pub steps: u64,
     /// Total simulated cycles (max core clock per run, summed over runs).
     pub sim_cycles: u64,
-    /// Aggregated sharded-driver round statistics (all zero on serial
-    /// runs). Host-schedule measurements, so they ride the stripped
-    /// `"timing"` line, never a deterministic field.
-    pub sharding: ztm_sim::ShardingStats,
 }
 
 impl Timing {
@@ -236,7 +234,6 @@ impl Timing {
         self.wall_ms += wall.as_secs_f64() * 1e3;
         self.steps += report.steps;
         self.sim_cycles += report.elapsed_cycles;
-        self.sharding.merge(&report.sharding);
     }
 
     /// The single-line JSON value for the `"timing"` key.
@@ -248,35 +245,14 @@ impl Timing {
                 0.0
             }
         };
-        let s = &self.sharding;
         format!(
             "{{ \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}, \"sim_cycles_per_sec\": {:.0}, \
-             \"commit\": \"{}\", \"host_threads\": {}, \"sweep_threads\": {}, \
-             \"shard_rounds\": {}, \"shard_mean_round\": {:.2}, \"shard_round_max\": {}, \
-             \"shard_chain_max\": {}, \"shard_rollbacks\": {}, \"shard_replayed\": {}, \
-             \"shard_rollbacks_tx\": {}, \"shard_rollbacks_fabric\": {}, \
-             \"shard_rollbacks_quiesce\": {}, \"shard_window_min\": {}, \
-             \"shard_window_mean\": {:.2}, \"shard_window_max\": {}, \
-             \"shard_window_clamped\": {} }}",
+             \"commit\": \"{}\", \"sweep_threads\": {} }}",
             self.wall_ms,
             per_sec(self.steps),
             per_sec(self.sim_cycles),
             commit_id(),
-            sim_threads(),
-            bench_threads(),
-            s.rounds,
-            s.mean_round_steps(),
-            s.round_steps_max,
-            s.chain_max,
-            s.rollbacks,
-            s.replayed,
-            s.rollbacks_tx,
-            s.rollbacks_fabric,
-            s.rollbacks_quiesce,
-            s.window_min,
-            s.mean_window(),
-            s.window_max,
-            s.window_clamped
+            bench_threads()
         )
     }
 }
@@ -555,7 +531,7 @@ mod tests {
         // Host metadata (commit, thread count) must ride the same stripped
         // line, never a deterministic field.
         assert!(timing_lines[0].contains("\"commit\""));
-        assert!(timing_lines[0].contains("\"host_threads\""));
+        assert!(timing_lines[0].contains("\"sweep_threads\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

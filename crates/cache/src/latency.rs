@@ -56,27 +56,6 @@ impl LatencyModel {
         }
     }
 
-    /// The minimum number of cycles any fetch crossing a shard boundary
-    /// takes to complete at the requester: the cheapest source on the far
-    /// side of the boundary. `same_mcm` selects a chip-level boundary
-    /// (shards are chips of one MCM); otherwise the boundary is the MCM
-    /// (book) itself.
-    ///
-    /// The sharded simulator uses this bound as its default speculation
-    /// window: a CPU may run ahead this many cycles past the round minimum
-    /// before any *cross-boundary* fetch issued at the frontier could
-    /// complete and perturb it. Steps inside the window are still executed
-    /// under undo journals — same-shard interactions and the rare cheaper
-    /// global step are caught by rollback, so the width is a performance
-    /// dial, never a correctness assumption.
-    pub fn min_cross_boundary_latency(&self, same_mcm: bool) -> u64 {
-        if same_mcm {
-            self.l4_hit.min(self.memory)
-        } else {
-            self.cross_mcm.min(self.memory)
-        }
-    }
-
     /// Latency of a cache-to-cache transfer from a holder at `distance`.
     pub fn transfer(&self, distance: Distance) -> u64 {
         let base = match distance {

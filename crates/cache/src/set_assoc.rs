@@ -9,28 +9,6 @@ struct Slot<E> {
     entry: E,
 }
 
-/// A journaled copy of one congruence class's slot row.
-type PreImageRow<E> = Box<[Option<Slot<E>>]>;
-
-/// First-touch undo journal for speculative execution (the sharded
-/// simulator's epoch windows). While armed, the first mutation of each
-/// congruence class records the class's pre-image row; rollback restores
-/// the recorded rows in reverse order plus the scalar LRU state captured at
-/// arm time. Rows are epoch-stamped in `seen` so re-arming never scans or
-/// reallocates the per-class table.
-#[derive(Debug, Clone)]
-struct UndoLog<E> {
-    armed: bool,
-    /// Current arm generation; a class whose `seen` stamp matches has
-    /// already been journaled this epoch.
-    epoch: u64,
-    seen: Vec<u64>,
-    /// `(class, pre-image row)` in first-touch order.
-    rows: Vec<(u32, PreImageRow<E>)>,
-    stamp: u64,
-    hot: Option<(LineAddr, usize)>,
-}
-
 /// A set-associative directory keyed by [`LineAddr`].
 ///
 /// Used for both the L1 and L2 directories. Replacement is true LRU within a
@@ -77,10 +55,6 @@ pub struct SetAssoc<E> {
     /// re-stamping cannot change any row's relative LRU order. Any
     /// remove or slot move invalidates it.
     hot: Option<(LineAddr, usize)>,
-    /// Allocated lazily on the first [`undo_arm`](Self::undo_arm); `None`
-    /// costs nothing on directories that never speculate (the disarmed
-    /// check on every mutator is a single branch).
-    undo: Option<Box<UndoLog<E>>>,
 }
 
 impl<E> SetAssoc<E> {
@@ -98,7 +72,6 @@ impl<E> SetAssoc<E> {
             pow2_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             stamp: 0,
             hot: None,
-            undo: None,
         }
     }
 
@@ -149,10 +122,7 @@ impl<E> SetAssoc<E> {
     }
 
     /// Looks up a line, marking it most-recently-used.
-    pub fn get(&mut self, line: LineAddr) -> Option<&mut E>
-    where
-        E: Clone,
-    {
+    pub fn get(&mut self, line: LineAddr) -> Option<&mut E> {
         let at = self.get_index(line)?;
         self.slots[at].as_mut().map(|s| &mut s.entry)
     }
@@ -161,10 +131,7 @@ impl<E> SetAssoc<E> {
     /// (a stamp is consumed even on a miss, matching `get`), but returns the
     /// slot position so callers that need the entry *and* other fields of
     /// their own struct can split the borrows.
-    pub fn get_index(&mut self, line: LineAddr) -> Option<usize>
-    where
-        E: Clone,
-    {
+    pub fn get_index(&mut self, line: LineAddr) -> Option<usize> {
         if let Some((hot_line, idx)) = self.hot {
             if hot_line == line {
                 // Already the directory-wide MRU (see `hot`): re-stamping
@@ -188,7 +155,6 @@ impl<E> SetAssoc<E> {
             }
         }
         let at = found?;
-        self.undo_mark(class);
         let slot = self.slots[at].as_mut().expect("found slot is occupied");
         slot.lru = stamp;
         self.hot = Some((line, at));
@@ -223,10 +189,7 @@ impl<E> SetAssoc<E> {
     /// # Panics
     ///
     /// Panics if `at` does not hold an occupied slot.
-    pub fn touch_index(&mut self, at: usize)
-    where
-        E: Clone,
-    {
+    pub fn touch_index(&mut self, at: usize) {
         let line = self.slots[at]
             .as_ref()
             .expect("touched slot is occupied")
@@ -235,7 +198,6 @@ impl<E> SetAssoc<E> {
             return;
         }
         let stamp = self.next_stamp();
-        self.undo_mark(at / self.ways);
         let slot = self.slots[at].as_mut().expect("touched slot is occupied");
         slot.lru = stamp;
         self.hot = Some((line, at));
@@ -259,11 +221,7 @@ impl<E> SetAssoc<E> {
     /// # Panics
     ///
     /// Panics if `at` does not hold an occupied slot.
-    pub fn entry_at_mut(&mut self, at: usize) -> &mut E
-    where
-        E: Clone,
-    {
-        self.undo_mark(at / self.ways);
+    pub fn entry_at_mut(&mut self, at: usize) -> &mut E {
         &mut self.slots[at]
             .as_mut()
             .expect("indexed slot is occupied")
@@ -271,21 +229,13 @@ impl<E> SetAssoc<E> {
     }
 
     /// Mutable lookup without touching LRU state.
-    pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut E>
-    where
-        E: Clone,
-    {
+    pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut E> {
         if let Some((hot_line, idx)) = self.hot {
             if hot_line == line {
-                // The caller receives `&mut`: journal even the hot row.
-                self.undo_mark(idx / self.ways);
                 return self.slots[idx].as_mut().map(|s| &mut s.entry);
             }
         }
         let class = self.class_of(line);
-        if self.undo_armed() && self.find(line).is_some() {
-            self.undo_mark(class);
-        }
         self.row_mut(class)
             .iter_mut()
             .map_while(|s| s.as_mut())
@@ -319,17 +269,13 @@ impl<E> SetAssoc<E> {
         line: LineAddr,
         entry: E,
         evict_priority: impl Fn(LineAddr, &E) -> u8,
-    ) -> Option<(LineAddr, E)>
-    where
-        E: Clone,
-    {
+    ) -> Option<(LineAddr, E)> {
         assert!(
             !self.contains(line),
             "line {line} already present in directory"
         );
         let stamp = self.next_stamp();
         let class = self.class_of(line);
-        self.undo_mark(class);
         // Slots may move below and a victim may leave; the new line becomes
         // the MRU either way.
         self.hot = None;
@@ -363,42 +309,10 @@ impl<E> SetAssoc<E> {
         evicted
     }
 
-    /// Previews the line [`insert`](Self::insert) would evict for `line`
-    /// under the same priority function, touching nothing: `None` when the
-    /// line is already present or its class still has a free way. The shard
-    /// classifier uses it to enumerate which CPUs an L3 insert could send
-    /// LRU XIs to before admitting a step into a speculative epoch.
-    pub fn peek_victim(
-        &self,
-        line: LineAddr,
-        evict_priority: impl Fn(LineAddr, &E) -> u8,
-    ) -> Option<LineAddr> {
-        if self.contains(line) {
-            return None;
-        }
-        let row = self.row(self.class_of(line));
-        if row.iter().any(|s| s.is_none()) {
-            return None;
-        }
-        row.iter()
-            .min_by_key(|s| {
-                let s = s.as_ref().expect("full row has no empty slots");
-                (evict_priority(s.line, &s.entry), s.lru)
-            })
-            .map(|s| s.as_ref().expect("full row has no empty slots").line)
-    }
-
     /// Removes a line, returning its entry.
-    pub fn remove(&mut self, line: LineAddr) -> Option<E>
-    where
-        E: Clone,
-    {
+    pub fn remove(&mut self, line: LineAddr) -> Option<E> {
         self.hot = None;
-        let class = self.class_of(line);
-        if self.undo_armed() && self.find(line).is_some() {
-            self.undo_mark(class);
-        }
-        let row = self.row_mut(class);
+        let row = self.row_mut(self.class_of(line));
         let filled = row.iter().take_while(|s| s.is_some()).count();
         let idx = row[..filled]
             .iter()
@@ -427,110 +341,12 @@ impl<E> SetAssoc<E> {
             .map(|s| (s.line, &s.entry))
     }
 
-    /// Mutable iteration over all `(line, entry)` pairs. Not undo-journaled:
-    /// callers must not use it while an undo epoch is armed.
+    /// Mutable iteration over all `(line, entry)` pairs.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut E)> {
-        debug_assert!(!self.undo_armed(), "iter_mut bypasses the undo journal");
         self.slots
             .iter_mut()
             .filter_map(|s| s.as_mut())
             .map(|s| (s.line, &mut s.entry))
-    }
-
-    // ------------------------------------------------------------------
-    // Speculative-epoch undo journal
-    // ------------------------------------------------------------------
-
-    fn undo_armed(&self) -> bool {
-        self.undo.as_ref().is_some_and(|u| u.armed)
-    }
-
-    /// Journals the pre-image of `class` on its first mutation of the
-    /// current epoch. A no-op while disarmed (one branch).
-    #[inline]
-    fn undo_mark(&mut self, class: usize)
-    where
-        E: Clone,
-    {
-        let Some(u) = self.undo.as_deref_mut() else {
-            return;
-        };
-        if !u.armed || u.seen[class] == u.epoch {
-            return;
-        }
-        u.seen[class] = u.epoch;
-        let base = class * self.ways;
-        let row: PreImageRow<E> = self.slots[base..base + self.ways].into();
-        u.rows.push((class as u32, row));
-    }
-
-    /// Starts an undo epoch: scalar LRU state is captured now and each
-    /// congruence class's pre-image row on its first mutation, until
-    /// [`undo_rollback`](Self::undo_rollback) or
-    /// [`undo_discard`](Self::undo_discard) closes the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an epoch is already armed.
-    pub fn undo_arm(&mut self) {
-        let sets = self.sets;
-        let stamp = self.stamp;
-        let hot = self.hot;
-        let u = self.undo.get_or_insert_with(|| {
-            Box::new(UndoLog {
-                armed: false,
-                epoch: 0,
-                seen: vec![0; sets],
-                rows: Vec::new(),
-                stamp: 0,
-                hot: None,
-            })
-        });
-        assert!(!u.armed, "undo_arm while an epoch is armed");
-        u.armed = true;
-        u.epoch += 1;
-        u.stamp = stamp;
-        u.hot = hot;
-        debug_assert!(u.rows.is_empty());
-    }
-
-    /// Restores every journaled row (in reverse first-touch order) and the
-    /// scalar LRU state captured at arm time, closing the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epoch is armed.
-    pub fn undo_rollback(&mut self) {
-        let u = self
-            .undo
-            .as_deref_mut()
-            .expect("undo_rollback while disarmed");
-        assert!(u.armed, "undo_rollback while disarmed");
-        u.armed = false;
-        for (class, row) in u.rows.drain(..).rev() {
-            let base = class as usize * self.ways;
-            for (i, s) in row.into_vec().into_iter().enumerate() {
-                self.slots[base + i] = s;
-            }
-        }
-        self.stamp = u.stamp;
-        self.hot = u.hot;
-    }
-
-    /// Drops the journal without restoring anything (the speculation
-    /// committed), closing the epoch. Row capacity is retained for re-arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epoch is armed.
-    pub fn undo_discard(&mut self) {
-        let u = self
-            .undo
-            .as_deref_mut()
-            .expect("undo_discard while disarmed");
-        assert!(u.armed, "undo_discard while disarmed");
-        u.armed = false;
-        u.rows.clear();
     }
 
     /// Number of resident lines.
@@ -610,53 +426,6 @@ mod tests {
         let mut d: SetAssoc<u32> = SetAssoc::new(2, 1);
         d.insert(LineAddr::new(0), 0, flat);
         d.insert(LineAddr::new(0), 1, flat);
-    }
-
-    #[test]
-    fn undo_rollback_restores_rows_and_lru_order() {
-        let mut d: SetAssoc<u32> = SetAssoc::new(2, 2);
-        d.insert(LineAddr::new(0), 0, flat);
-        d.insert(LineAddr::new(2), 2, flat);
-        d.get(LineAddr::new(0)); // line 2 becomes LRU in class 0
-        d.undo_arm();
-        *d.get(LineAddr::new(2)).unwrap() = 99; // re-stamps: line 0 now LRU
-        d.insert(LineAddr::new(4), 4, flat); // evicts line 0
-        d.insert(LineAddr::new(1), 1, flat); // untouched class 1... journaled too
-        d.remove(LineAddr::new(1));
-        d.undo_rollback();
-        assert_eq!(d.peek(LineAddr::new(0)), Some(&0));
-        assert_eq!(d.peek(LineAddr::new(2)), Some(&2), "entry edit undone");
-        assert!(!d.contains(LineAddr::new(4)));
-        assert!(!d.contains(LineAddr::new(1)));
-        // LRU order restored: inserting now evicts line 2 again, not line 0.
-        let ev = d.insert(LineAddr::new(4), 4, flat);
-        assert_eq!(ev, Some((LineAddr::new(2), 2)));
-    }
-
-    #[test]
-    fn undo_discard_keeps_mutations() {
-        let mut d: SetAssoc<u32> = SetAssoc::new(2, 2);
-        d.undo_arm();
-        d.insert(LineAddr::new(0), 7, flat);
-        d.undo_discard();
-        assert_eq!(d.peek(LineAddr::new(0)), Some(&7));
-        // Re-arm after a closed epoch works and journals fresh pre-images.
-        d.undo_arm();
-        d.remove(LineAddr::new(0));
-        d.undo_rollback();
-        assert_eq!(d.peek(LineAddr::new(0)), Some(&7));
-    }
-
-    #[test]
-    fn peek_victim_matches_insert() {
-        let mut d: SetAssoc<u32> = SetAssoc::new(1, 2);
-        d.insert(LineAddr::new(0), 0, flat);
-        assert_eq!(d.peek_victim(LineAddr::new(1), flat), None, "free way");
-        d.insert(LineAddr::new(1), 1, flat);
-        assert_eq!(d.peek_victim(LineAddr::new(1), flat), None, "present");
-        let predicted = d.peek_victim(LineAddr::new(2), flat);
-        let ev = d.insert(LineAddr::new(2), 2, flat);
-        assert_eq!(predicted, ev.map(|(l, _)| l));
     }
 
     #[test]

@@ -179,67 +179,4 @@ proptest! {
         let expected = matches!(kind, XiKind::Exclusive | XiKind::Demote);
         prop_assert_eq!(kind.rejectable(), expected);
     }
-
-    /// [`LatencyModel::min_cross_boundary_latency`] is a true lower bound:
-    /// for *any* latency values, any topology, and any fetch whose data
-    /// source sits beyond a shard boundary (another MCM, or another chip of
-    /// the same MCM when the machine is a single book), the planned fetch
-    /// cost is at least the advertised boundary minimum. This is the bound
-    /// the sharded simulator's determinism argument cites: no cross-shard
-    /// install can complete earlier than `access clock + this latency`.
-    #[test]
-    fn cross_boundary_fetch_never_undercuts_the_minimum(
-        l3 in 1u64..10_000,
-        l4 in 1u64..10_000,
-        cross in 1u64..10_000,
-        memory in 1u64..10_000,
-        intervention in 0u64..1_000,
-        cpus in 2usize..64,
-        per_chip in 1usize..8,
-        chips_per_mcm in 1usize..5,
-        req_pick in any::<usize>(),
-        src_pick in any::<usize>(),
-        src_kind in 0u8..4,
-    ) {
-        let mut lat = ztm_cache::LatencyModel::zec12();
-        lat.l3_hit = l3;
-        lat.l4_hit = l4;
-        lat.cross_mcm = cross;
-        lat.memory = memory;
-        lat.intervention = intervention;
-        // The topology supports at most 8 MCMs.
-        let cpus = cpus.min(per_chip * chips_per_mcm * 8);
-        let topo = Topology::new(cpus, per_chip, chips_per_mcm);
-        let req = CpuId(req_pick % cpus);
-        let other = CpuId(src_pick % cpus);
-        let source = match src_kind {
-            0 => ztm_cache::Source::Cpu(other),
-            1 => ztm_cache::Source::L3(topo.chip_of(other)),
-            2 => ztm_cache::Source::L4(topo.mcm_of(other)),
-            _ => ztm_cache::Source::Memory,
-        };
-        // Which boundary (if any) the source sits beyond.
-        let crosses_book = match source {
-            ztm_cache::Source::Cpu(o) => topo.mcm_of(req) != topo.mcm_of(o),
-            ztm_cache::Source::L3(c) => topo.mcm_of(req) != topo.mcm_of_chip(c),
-            ztm_cache::Source::L4(m) => topo.mcm_of(req) != m,
-            ztm_cache::Source::Memory => true,
-        };
-        let crosses_chip = match source {
-            ztm_cache::Source::Cpu(o) => topo.chip_of(req) != topo.chip_of(o),
-            ztm_cache::Source::L3(c) => topo.chip_of(req) != c,
-            ztm_cache::Source::L4(_) => true,
-            ztm_cache::Source::Memory => true,
-        };
-        let cost = lat.fetch(&topo, req, source);
-        if crosses_book {
-            prop_assert!(cost >= lat.min_cross_boundary_latency(false),
-                "cross-book fetch {cost} under floor");
-        } else if crosses_chip {
-            // The chip-level boundary is the shard boundary of a
-            // single-book machine, where every crossing stays on-MCM.
-            prop_assert!(cost >= lat.min_cross_boundary_latency(true),
-                "cross-chip fetch {cost} under floor");
-        }
-    }
 }

@@ -3,6 +3,8 @@
 //! Kept in a library so the parsing and report formatting are unit-testable;
 //! the `ztm-run` binary is a thin wrapper.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use ztm_core::DiagnosticControl;
 use ztm_sim::{System, SystemConfig};
@@ -349,37 +351,6 @@ pub fn execute(o: &Options) -> Result<String, String> {
     let _ = writeln!(out, "xi [ex,dm,ro,lru] : {:?}", r.xi_counts);
     let _ = writeln!(out, "stall retries     : {}", r.stalls);
     let _ = writeln!(out, "coalesced accesses: {}", r.coalesced_accesses);
-    if r.sharding.rounds > 0 {
-        let s = &r.sharding;
-        let _ = writeln!(
-            out,
-            "shard rounds      : {} (mean {:.1} steps, max {}, chain {}, {} rollbacks / {} replayed)",
-            s.rounds,
-            s.mean_round_steps(),
-            s.round_steps_max,
-            s.chain_max,
-            s.rollbacks,
-            s.replayed
-        );
-        if s.rollbacks > 0 {
-            let _ = writeln!(
-                out,
-                "shard rollbacks   : {} tx / {} fabric / {} quiesce",
-                s.rollbacks_tx, s.rollbacks_fabric, s.rollbacks_quiesce
-            );
-        }
-        if s.window_cpus > 0 {
-            let _ = writeln!(
-                out,
-                "shard windows     : min {} / mean {:.1} / max {} cycles ({} of {} CPUs clamped)",
-                s.window_min,
-                s.mean_window(),
-                s.window_max,
-                s.window_clamped,
-                s.window_cpus
-            );
-        }
-    }
     if r.tx.broadcast_stops > 0 {
         let _ = writeln!(out, "broadcast stops   : {}", r.tx.broadcast_stops);
     }

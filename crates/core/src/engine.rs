@@ -182,14 +182,6 @@ impl TxEngine {
         self.outer.as_ref().map(|o| o.constrained).unwrap_or(false)
     }
 
-    /// The TDB address the outermost TBEGIN registered, if any. Abort
-    /// processing stores the 256-byte diagnostic block there; the sharded
-    /// simulator's classifier uses this to bound which CPUs an abort step
-    /// can touch through memory.
-    pub fn tdb_addr(&self) -> Option<Address> {
-        self.outer.as_ref().and_then(|o| o.tdb_addr)
-    }
-
     /// Whether the millicode retry ladder has disabled speculative fetching
     /// for the current retry (§III.E).
     pub fn speculation_disabled(&self) -> bool {
@@ -451,16 +443,6 @@ impl TxEngine {
             return Some(AbortCause::Diagnostic);
         }
         None
-    }
-
-    /// Whether the diagnostic control could draw from the RNG or force an
-    /// abort on upcoming instructions. With the control off and no armed
-    /// countdown, `tdc_tick` is a pure no-op — the predicate the shard
-    /// classifier needs before letting in-transaction steps run inside a
-    /// parallel epoch window (where an unexpected RNG draw or forced abort
-    /// would diverge from the serial schedule).
-    pub fn tdc_active(&self) -> bool {
-        !matches!(self.tdc, DiagnosticControl::Off) || self.tdc_countdown.is_some()
     }
 
     /// Whether the diagnostic control demands an abort *instead of* the

@@ -67,7 +67,7 @@ fn effective_address(core: &CpuCore, mem: &MemOperand) -> Address {
 /// Effective address from a decoded record: displacement in `imm`, register
 /// slots resolved — same base-then-index wrapping order as the legacy path.
 #[inline]
-pub fn effective_address_decoded(core: &CpuCore, d: &DecodedInstr) -> Address {
+fn effective_address_decoded(core: &CpuCore, d: &DecodedInstr) -> Address {
     let mut a = d.imm as u64;
     if d.base != NO_REG {
         a = a.wrapping_add(core.grs[d.base as usize]);

@@ -44,6 +44,8 @@
 //! # Ok::<(), ztm_isa::AsmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod asm;
 mod cpu;
 pub mod decoded;
@@ -55,7 +57,7 @@ mod pipeline;
 mod reg;
 
 pub use asm::{AsmError, Assembler, Program};
-pub use cpu::{effective_address_decoded, run_to_halt, step, step_legacy, StepEvent, StepOutcome};
+pub use cpu::{run_to_halt, step, step_legacy, StepEvent, StepOutcome};
 pub use decoded::{superblocks, DecodedInstr, Op};
 pub use instr::{cc_mask, CmpCond, Instr, MemOperand, RegOrImm};
 pub use machine::{

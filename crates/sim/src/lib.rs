@@ -18,13 +18,14 @@
 //! rung of the retry ladder, all other CPUs are held while it retries, which
 //! guarantees eventual success.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod report;
-mod shard;
 mod system;
 
 pub use config::SystemConfig;
-pub use report::{ShardingStats, StmCounts, SystemReport};
+pub use report::{StmCounts, SystemReport};
 pub use system::{StepLogEntry, System, TraceRecord};
 
 /// Reads a `ZTM_*` boolean switch. Per the workspace convention only the
@@ -49,26 +50,6 @@ pub fn env_flag(name: &str) -> bool {
     }
 }
 
-/// Reads a `ZTM_*` default-*on* boolean switch (e.g. `ZTM_SHARD_ADAPT`):
-/// only the value `"0"` disengages it — absent, empty, and `"1"` all mean
-/// on, mirroring [`env_flag`]'s strictness in the other direction so stray
-/// exports still fail loudly instead of silently flipping behavior.
-///
-/// # Panics
-///
-/// Panics when the variable is set to something other than `"1"`, `"0"`,
-/// or the empty string.
-pub fn env_flag_on(name: &str) -> bool {
-    match std::env::var(name) {
-        Err(_) => true,
-        Ok(v) => match v.as_str() {
-            "0" => false,
-            "1" | "" => true,
-            _ => panic!("{name}: expected \"1\", \"0\", or empty, got {v:?}"),
-        },
-    }
-}
-
 /// Reads a `ZTM_*` positive-integer knob. Absent or empty → `None` (the
 /// default engages); a valid positive integer engages it; anything else is a
 /// configuration error worth failing loudly on, naming the bad token.
@@ -78,7 +59,11 @@ pub fn env_flag_on(name: &str) -> bool {
 /// Panics when the variable is set to something other than a positive
 /// integer.
 pub fn env_usize(name: &str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
+    parse_usize(name, &std::env::var(name).ok()?)
+}
+
+/// The value half of [`env_usize`]: parses `v` as the setting of `name`.
+pub(crate) fn parse_usize(name: &str, v: &str) -> Option<usize> {
     if v.trim().is_empty() {
         return None;
     }

@@ -42,101 +42,6 @@ impl StmCounts {
     }
 }
 
-/// Sharded-driver round statistics (all zero on serial runs). These are
-/// *host-side* measurements of how the run was scheduled: simulated
-/// outcomes stay byte-identical for any thread count, but rounds, chains,
-/// and rollbacks depend on the round schedule itself, so differential
-/// tests zero this field before comparing whole reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardingStats {
-    /// Parallel (shard-local) rounds dispatched.
-    pub rounds: u64,
-    /// Steps executed inside those rounds (net of rollbacks).
-    pub local_steps: u64,
-    /// Largest single round, in shard-local steps.
-    pub round_steps_max: u64,
-    /// Longest single run-ahead chain, in steps.
-    pub chain_max: u64,
-    /// Speculative epochs rolled back past a global step's key.
-    pub rollbacks: u64,
-    /// Steps re-executed by rollback replays.
-    pub replayed: u64,
-    /// Rollbacks caused by transaction-side global steps: abort processing
-    /// and the TDB stores it performs (the `GlobalTouch` tx-confined
-    /// naming).
-    pub rollbacks_tx: u64,
-    /// Rollbacks caused by fabric-touching data accesses: XI receivers and
-    /// L3-eviction candidates of a coordinator fetch.
-    pub rollbacks_fabric: u64,
-    /// Rollbacks from everything that resolves *everyone*: timer ticks,
-    /// quiesce/broadcast-stop escalations, OS interruptions and page-ins,
-    /// plus step-budget frontier resolutions at `step_many` boundaries.
-    pub rollbacks_quiesce: u64,
-    /// Smallest per-CPU adaptive admission window at the end of the run,
-    /// in cycles (zero when adaptation never engaged).
-    pub window_min: u64,
-    /// Largest per-CPU adaptive admission window at the end of the run.
-    pub window_max: u64,
-    /// Sum of the per-CPU adaptive windows (for [`mean_window`]).
-    ///
-    /// [`mean_window`]: Self::mean_window
-    pub window_sum: u64,
-    /// CPUs carrying an adaptive window (zero when adaptation never
-    /// engaged; the denominator of [`mean_window`](Self::mean_window)).
-    pub window_cpus: u64,
-    /// CPUs held at the conservative window by `GlobalTouch` naming
-    /// pressure at the end of the run (lock-line holders, XI magnets).
-    pub window_clamped: u64,
-}
-
-impl ShardingStats {
-    /// Mean shard-local steps per round — the coordinator-amortization
-    /// figure the epoch windows exist to raise. Zero when no round ran.
-    pub fn mean_round_steps(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.local_steps as f64 / self.rounds as f64
-        }
-    }
-
-    /// Mean end-of-run adaptive window across the CPUs that carried one.
-    /// Zero when adaptation never engaged.
-    pub fn mean_window(&self) -> f64 {
-        if self.window_cpus == 0 {
-            0.0
-        } else {
-            self.window_sum as f64 / self.window_cpus as f64
-        }
-    }
-
-    /// Accumulates another run's counters into this one (maxima stay
-    /// maxima, counts add, window extrema widen) — for multi-run benchmark
-    /// timing summaries.
-    pub fn merge(&mut self, other: &ShardingStats) {
-        self.rounds += other.rounds;
-        self.local_steps += other.local_steps;
-        self.round_steps_max = self.round_steps_max.max(other.round_steps_max);
-        self.chain_max = self.chain_max.max(other.chain_max);
-        self.rollbacks += other.rollbacks;
-        self.replayed += other.replayed;
-        self.rollbacks_tx += other.rollbacks_tx;
-        self.rollbacks_fabric += other.rollbacks_fabric;
-        self.rollbacks_quiesce += other.rollbacks_quiesce;
-        if other.window_cpus > 0 {
-            self.window_min = if self.window_cpus == 0 {
-                other.window_min
-            } else {
-                self.window_min.min(other.window_min)
-            };
-            self.window_max = self.window_max.max(other.window_max);
-            self.window_sum += other.window_sum;
-            self.window_cpus += other.window_cpus;
-        }
-        self.window_clamped += other.window_clamped;
-    }
-}
-
 /// A snapshot of system-wide counters, produced by
 /// [`crate::System::report`].
 #[derive(Debug, Clone, Default)]
@@ -160,9 +65,6 @@ pub struct SystemReport {
     /// Merged software-TM statistics (all zero unless an STM or hybrid
     /// sync mode ran).
     pub stm: StmCounts,
-    /// Sharded-driver round statistics (all zero on serial runs; host-side
-    /// schedule measurements, not simulated outcomes).
-    pub sharding: ShardingStats,
 }
 
 impl SystemReport {

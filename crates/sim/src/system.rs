@@ -4,27 +4,22 @@
 
 use crate::config::SystemConfig;
 use crate::report::SystemReport;
-use crate::shard::{safe_set, split_mut, Candidate, EgMin, ShardPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use ztm_cache::{
     AccessClass, CohState, CpuId, Fabric, FetchKind, FootprintEvent, LocalHit, PrivateCache, Xi,
     XiKind, XiResponse,
 };
-use ztm_core::{
-    AbortCause, InstrClass, ProgramException, TbeginParams, TendOutcome, TxEngine, TxStats,
-};
+use ztm_core::{AbortCause, ProgramException, TbeginParams, TendOutcome, TxEngine, TxStats};
 use ztm_isa::{
-    decoded::{Op, FLAG_FOR_UPDATE},
-    effective_address_decoded, finish_abort, AbortApply, AccessResult, CasResult, CpuCore,
-    DecodedInstr, EndResult, ExceptionDisposition, Machine, Program, StepEvent, StepOutcome,
+    finish_abort, AbortApply, AccessResult, CasResult, CpuCore, EndResult, ExceptionDisposition,
+    Machine, Program, StepEvent, StepOutcome,
 };
-use ztm_mem::{Address, LineAddr, MainMemory, PageTable, SharedMem, HALF_LINE_SIZE};
-use ztm_trace::{Event, EventBuffer, SeqTracedEvent, Tracer};
+use ztm_mem::{Address, LineAddr, MainMemory, PageTable, HALF_LINE_SIZE};
+use ztm_trace::{Event, Tracer};
 
 /// Per-CPU memory-side state.
 #[derive(Debug)]
@@ -62,95 +57,6 @@ struct Node {
     coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
-    /// Open speculative epoch (slack-width sharded rounds only): the undo
-    /// journal that lets the coordinator rewind this CPU past an
-    /// earlier-keyed global step and replay. `None` outside the sharded
-    /// driver and whenever the CPU's speculation is resolved.
-    spec: Option<Box<SpecEpoch>>,
-    /// The most recently retired epoch, kept for reuse: arming recycles its
-    /// boxed core/engine snapshots and journal buffers instead of
-    /// reallocating them every round — epochs open and close millions of
-    /// times per run, and the snapshots dominate their cost.
-    spec_pool: Option<Box<SpecEpoch>>,
-}
-
-/// The undo journal of one CPU's speculative epoch. Armed when a widened
-/// (slack-width) round first runs the CPU ahead of the provable 1-cycle
-/// slack; every shard-local step it executes afterwards is journaled until
-/// the coordinator either *finalizes* the epoch (the serial frontier passed
-/// all its keys — discard the journal) or *rolls it back* past a global
-/// step's `(clock, cpu)` key: restore the snapshots, undo the arena bytes
-/// in reverse, then replay the kept prefix. See `run_sharded_upto`.
-#[derive(Debug)]
-struct SpecEpoch {
-    /// Pre-step clock of every step executed in this epoch, in execution
-    /// order (ascending; zero-cycle chains repeat a clock). Key *i* of this
-    /// CPU is `(keys[i], cpu)`.
-    keys: Vec<u64>,
-    /// Architectural core state at epoch start.
-    core: Box<CpuCore>,
-    /// Transaction engine at epoch start.
-    engine: Box<TxEngine>,
-    /// RNG stream at epoch start.
-    rng: SmallRng,
-    /// Node scalar snapshots at epoch start (`stalls`, `last_timer` and
-    /// `prefix_area` are deliberately absent: no shard-local step can
-    /// stall, tick the timer, or store to the prefix area).
-    last_ifetch: Option<LineAddr>,
-    icache_installs: u64,
-    last_ifetch_installs: u64,
-    last_ifetch_page_epoch: u64,
-    last_data: Option<LineWindow>,
-    coalesced: u64,
-    stm: crate::report::StmCounts,
-    /// Pre-image bytes of every committed-arena store this epoch performed
-    /// (non-transactional write-through and commit drains), in write order;
-    /// rollback restores them newest-first. Full-epoch granularity: a
-    /// rollback always rewinds to the epoch start before replaying, so the
-    /// journal needs no per-step keying.
-    mem_journal: Vec<(Address, u8)>,
-}
-
-/// Arms a speculative epoch on `node`: snapshots everything a chain of
-/// provably node-local steps can mutate and arms the cache undo journals.
-fn arm_epoch(node: &mut Node, core: &CpuCore) {
-    debug_assert!(node.spec.is_none(), "epoch already armed");
-    let mut ep = match node.spec_pool.take() {
-        // Recycle the retired epoch: the boxes and the key/journal vector
-        // capacities survive, only the snapshot contents are refreshed.
-        Some(mut ep) => {
-            ep.keys.clear();
-            ep.mem_journal.clear();
-            (*ep.core).clone_from(core);
-            (*ep.engine).clone_from(&node.engine);
-            ep.rng.clone_from(&node.rng);
-            ep.stm.clone_from(&node.stm);
-            ep
-        }
-        None => Box::new(SpecEpoch {
-            keys: Vec::new(),
-            core: Box::new(core.clone()),
-            engine: Box::new(node.engine.clone()),
-            rng: node.rng.clone(),
-            last_ifetch: None,
-            icache_installs: 0,
-            last_ifetch_installs: 0,
-            last_ifetch_page_epoch: 0,
-            last_data: None,
-            coalesced: 0,
-            stm: node.stm.clone(),
-            mem_journal: Vec::new(),
-        }),
-    };
-    ep.last_ifetch = node.last_ifetch;
-    ep.icache_installs = node.icache_installs;
-    ep.last_ifetch_installs = node.last_ifetch_installs;
-    ep.last_ifetch_page_epoch = node.last_ifetch_page_epoch;
-    ep.last_data = node.last_data;
-    ep.coalesced = node.coalesced;
-    node.spec = Some(ep);
-    node.cache.undo_arm();
-    node.icache.undo_arm();
 }
 
 /// A per-core *line window*: the data line the previous full directory walk
@@ -198,9 +104,9 @@ pub struct TraceRecord {
 
 /// One entry of the lightweight step log (see [`System::set_step_log`]):
 /// which CPU stepped at which pre-step clock, what the step did, and how
-/// many cycles it took. The sharded and serial engines must produce
-/// identical logs — the lockstep differential in `tests/sharded.rs` pins
-/// that.
+/// many cycles it took. Every stepping mode (superblocks, coalescing,
+/// the legacy interpreter) must produce identical logs — the lockstep
+/// differentials in `tests/` diff them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepLogEntry {
     /// The CPU's local clock before the step.
@@ -320,136 +226,17 @@ pub struct System {
     /// probed again. Purely a host-speed heuristic; the executed schedule
     /// is identical either way.
     sb_cooldown: Vec<u32>,
-    /// Host threads for the sharded run path (`ZTM_SIM_THREADS` /
-    /// [`set_sim_threads`](Self::set_sim_threads)). `1` (the default) keeps
-    /// the serial scheduler; above `1` the run methods route through the
-    /// round-based sharded driver, which executes provably node-local steps
-    /// of different shards concurrently. Simulation results are
-    /// byte-identical for any value.
-    sim_threads: usize,
     /// Optional full step log ([`set_step_log`](Self::set_step_log)) — the
-    /// differential-test hook proving the sharded engine replays the serial
-    /// step order exactly.
+    /// differential-test hook proving every stepping mode retires the same
+    /// step order.
     step_log: Option<Vec<StepLogEntry>>,
-    /// Steps the sharded driver executed inside parallel (shard-local)
-    /// rounds, as opposed to serialized coordinator steps. Pure statistics —
-    /// measures how much of a run actually parallelizes.
-    sharded_local_steps: u64,
-    /// Minimum shard-local steps a round needs before it is dispatched on
-    /// scoped threads instead of inline (`ZTM_SHARD_ROUND_MIN` /
-    /// [`set_shard_round_min`](Self::set_shard_round_min)). A host-speed
-    /// dial only: both dispatch modes run the identical shard-step code,
-    /// so results never depend on it.
-    par_round_min: usize,
-    /// Step-log entries executed by shard run-ahead whose serial position
-    /// is not yet final: an entry is released into `step_log` only once the
-    /// global key frontier (the smallest next `(clock, cpu)` key of any
-    /// runnable CPU) passes it — no later step can then precede it. Kept
-    /// key-sorted; survives `step_many` budget boundaries.
-    pending_log: Vec<StepLogEntry>,
-    /// Event blocks awaiting the same frontier, replayed into the real
-    /// tracer in serial key order (see [`pending_log`](Self::pending_log)).
-    pending_blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)>,
-    /// Speculation window in cycles for the sharded driver
-    /// (`ZTM_SHARD_WINDOW` / [`set_shard_window`](Self::set_shard_window)).
-    /// `None` derives the topology's cross-boundary latency bound
-    /// ([`LatencyModel::min_cross_boundary_latency`]); `1` pins the
-    /// conservative provable-slack admission — no speculation, no journals.
-    ///
-    /// [`LatencyModel::min_cross_boundary_latency`]:
-    /// ztm_cache::LatencyModel::min_cross_boundary_latency
-    shard_window: Option<usize>,
-    /// Per-chain run-ahead ceiling (`ZTM_SHARD_RUN_AHEAD` /
-    /// [`set_shard_run_ahead`](Self::set_shard_run_ahead)).
-    run_ahead_cap: u64,
-    /// Parallel (shard-local) rounds dispatched.
-    shard_rounds: u64,
-    /// Largest single round, in shard-local steps.
-    shard_round_max: u64,
-    /// Longest single run-ahead chain, in steps.
-    shard_chain_max: u64,
-    /// Speculative epochs rolled back past a global step's key.
-    shard_rollbacks: u64,
-    /// Steps re-executed by rollback replays.
-    shard_replayed: u64,
-    /// Rollbacks by cause bucket: tx-side (abort/TDB naming), fabric-side
-    /// (data-fetch naming), and resolve-everyone events (timer, quiesce,
-    /// OS, budget frontiers). Sums to `shard_rollbacks`.
-    shard_rb_tx: u64,
-    shard_rb_fabric: u64,
-    shard_rb_quiesce: u64,
-    /// Contention-adaptive admission windows (`ZTM_SHARD_ADAPT`, default
-    /// on): with no pinned `ZTM_SHARD_WINDOW`, every CPU starts at the
-    /// structural cross-boundary bound and then earns its width — a
-    /// rollback shrinks its window multiplicatively, a finalized-clean
-    /// epoch grows it additively, and CPUs the [`GlobalTouch`] classifier
-    /// keeps naming clamp to the conservative 1-cycle slack. All state
-    /// here is a pure function of the deterministic step/rollback history,
-    /// never of the host thread count, so simulated output stays
-    /// byte-identical for any `ZTM_SIM_THREADS`.
-    shard_adapt: bool,
-    /// Per-CPU adaptive window in cycles (`1..=adapt_max`); empty until
-    /// the first adaptive round engages.
-    adapt_win: Vec<u64>,
-    /// Per-CPU `GlobalTouch` naming pressure, bumped each time a bounded
-    /// touch set names the CPU *and cuts one of its open epochs*, decayed
-    /// once per sweep. At [`ADAPT_CLAMP_AT`] and above the CPU is clamped
-    /// to window 1.
-    adapt_touch: Vec<u32>,
-    /// Coordinator-serial global steps executed in adaptive rounds — the
-    /// deterministic clock that paces decay/regrowth sweeps.
-    adapt_ticks: u64,
-    /// Whether the current (or latest) sharded run adapts windows, and the
-    /// structural ceiling it adapts toward. Set by `run_sharded_upto`.
-    adapt_active: bool,
-    adapt_max: u64,
 }
 
-/// Multiplicative window shrink on rollback: halving converges on the
-/// workload's survivable width in a few rollbacks without overshooting
-/// all the way to the conservative slack on one unlucky cut.
-const ADAPT_SHRINK_DIV: u64 = 2;
-/// Shrink floor, in cycles. Below roughly the on-chip latency slack a
-/// rollback cuts almost nothing (the cut lands at the epoch head and
-/// replays no prefix), so speculation is nearly free — shrinking further
-/// would shed round candidacy without saving any replay work. Only the
-/// [`ADAPT_CLAMP_AT`] clamp, which needs *sustained* naming pressure,
-/// pushes a CPU below this to the conservative window.
-const ADAPT_FLOOR: u64 = 16;
-/// Additive window growth per finalized-clean epoch, in cycles.
-const ADAPT_GROW: u64 = 6;
-/// Adaptive growth ceiling, in cycles. Width far beyond the floor stops
-/// buying admission and starts costing it: run-ahead desynchronizes the
-/// CPUs' clocks by up to a window, so a wide-window CPU races hundreds
-/// of cycles ahead while narrow ones drop out of candidacy around the
-/// serial minimum — rounds *shrink* as windows grow past a few times
-/// the floor, and each rollback cuts a much deeper epoch (at 144 CPUs,
-/// a `[16, 48]` band replays 3.5× the steps of fixed width 16 for
-/// *smaller* rounds). Adaptive windows therefore live in the tight
-/// `[ADAPT_FLOOR, ADAPT_CAP]` band (clamped CPUs aside); an explicit
-/// `ZTM_SHARD_WINDOW` still pins any width up to the structural bound.
-const ADAPT_CAP: u64 = 24;
-/// Naming pressure at which a CPU clamps to the conservative window.
-/// A clamped CPU crawls one provable cycle per round, and the round
-/// minimum cannot advance past it — so a clamp throttles the *whole
-/// machine* to the crawler's pace, a price only worth paying for a CPU
-/// whose epochs are damaged on nearly every serialized step. With
-/// pressure halving every sweep, a sustained rate of `r` damaging cuts
-/// per sweep equilibrates the score at `2r` — so a clamp engages only
-/// for a CPU damaged on better than one in four serialized steps
-/// ([`ADAPT_SWEEP`]/4 cuts per sweep), a true pathology. The margin
-/// matters: the hottest CPUs of a symmetric workload (fig 5(e) at 144
-/// CPUs sustains ~25 damaging cuts per sweep) must equilibrate *well*
-/// below this, or they oscillate across the threshold and the machine
-/// is throttled by ever-changing crawlers; the multiplicative shrink
-/// alone prices that benign regime.
-const ADAPT_CLAMP_AT: u32 = 128;
-/// Naming-pressure ceiling: bounds how long a clamp outlives the
-/// contention that caused it (pressure halves every sweep).
-const ADAPT_SCORE_MAX: u32 = 256;
-/// Global steps between adaptation sweeps (pressure decay + regrowth
-/// probes for CPUs too narrow to speculate their way back up).
-const ADAPT_SWEEP: u64 = 256;
+/// The pipeline width a `ZTM_ISSUE_WIDTH` setting engages: absent or `1` →
+/// `None`, since the scalar path is already exactly width 1.
+fn issue_width(setting: Option<usize>) -> Option<u64> {
+    setting.filter(|&w| w > 1).map(|w| w as u64)
+}
 
 /// The issue windows plus the width they were built with (cached for trace
 /// emission without re-asking each window).
@@ -492,8 +279,6 @@ impl System {
                 last_data: None,
                 coalesced: 0,
                 stm: crate::report::StmCounts::default(),
-                spec: None,
-                spec_pool: None,
             })
             .collect();
         let fabric = match config.l3_geometry {
@@ -521,7 +306,7 @@ impl System {
             trace_capacity: 10_000,
             tracer: Tracer::disabled(),
             steps: 0,
-            pipeline: Self::issue_width_from_env()
+            pipeline: issue_width(crate::env_usize("ZTM_ISSUE_WIDTH"))
                 .map(|w| PipelineState::new(w, cpus, config.latency.lsu_ports)),
             // Escape hatch: `ZTM_NO_COALESCE=1` disables the line-window
             // fast path.
@@ -531,42 +316,8 @@ impl System {
             superblocks: !crate::env_flag("ZTM_NO_SUPERBLOCK"),
             superblock_steps: 0,
             sb_cooldown: vec![0; cpus],
-            sim_threads: crate::env_usize("ZTM_SIM_THREADS").unwrap_or(1),
             step_log: None,
-            sharded_local_steps: 0,
-            par_round_min: crate::env_usize("ZTM_SHARD_ROUND_MIN").unwrap_or(96),
-            pending_log: Vec::new(),
-            pending_blocks: Vec::new(),
-            shard_window: crate::env_usize("ZTM_SHARD_WINDOW"),
-            run_ahead_cap: crate::env_usize("ZTM_SHARD_RUN_AHEAD")
-                .map_or(RUN_AHEAD_CAP, |c| c as u64),
-            shard_rounds: 0,
-            shard_round_max: 0,
-            shard_chain_max: 0,
-            shard_rollbacks: 0,
-            shard_replayed: 0,
-            shard_rb_tx: 0,
-            shard_rb_fabric: 0,
-            shard_rb_quiesce: 0,
-            shard_adapt: crate::env_flag_on("ZTM_SHARD_ADAPT"),
-            adapt_win: Vec::new(),
-            adapt_touch: Vec::new(),
-            adapt_ticks: 0,
-            adapt_active: false,
-            adapt_max: 1,
             config,
-        }
-    }
-
-    /// Reads `ZTM_ISSUE_WIDTH`. Absent or `1` → `None` (the scalar path is
-    /// already exactly width 1); `> 1` → engage the pipeline window; anything
-    /// else is a configuration error worth failing loudly on.
-    fn issue_width_from_env() -> Option<u64> {
-        let v = std::env::var("ZTM_ISSUE_WIDTH").ok()?;
-        match v.trim().parse::<u64>() {
-            Ok(1) => None,
-            Ok(w) if w > 1 => Some(w),
-            _ => panic!("ZTM_ISSUE_WIDTH: expected a positive issue width, got {v:?}"),
         }
     }
 
@@ -667,90 +418,10 @@ impl System {
         ));
     }
 
-    /// Sets the host-thread count for the sharded run path (also settable
-    /// at construction via `ZTM_SIM_THREADS`). `1` (the default) keeps the
-    /// single-threaded scheduler; above `1` the run methods partition the
-    /// simulated SMP at a coherence boundary of the topology — per book
-    /// (MCM), per chip when the machine is a single book — and advance
-    /// provably node-local steps of different shards concurrently inside
-    /// conservative round windows. Everything that crosses the boundary is
-    /// serialized by the coordinator, so simulation results (architectural
-    /// state, statistics, the committed event stream and both trace digests)
-    /// are byte-identical for any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "sim_threads must be positive");
-        self.sim_threads = threads;
-    }
-
-    /// The configured host-thread count (see
-    /// [`set_sim_threads`](Self::set_sim_threads)).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// How many steps the sharded driver executed inside parallel
-    /// (shard-local) rounds so far — the complement of the serialized
-    /// coordinator steps. Zero when running the serial scheduler.
-    pub fn sharded_local_steps(&self) -> u64 {
-        self.sharded_local_steps
-    }
-
-    /// Sets the minimum round size (in shard-local steps) that dispatches
-    /// on scoped host threads; smaller rounds run inline. Purely a host
-    /// speed/overhead trade — results are identical for any value.
-    pub fn set_shard_round_min(&mut self, min: usize) {
-        self.par_round_min = min.max(1);
-    }
-
-    /// Sets the sharded driver's speculation window in cycles (also
-    /// settable at construction via `ZTM_SHARD_WINDOW`). A round admits
-    /// every runnable CPU whose key lies within this many cycles of the
-    /// round minimum and lets it execute speculatively under an undo
-    /// journal; `1` reproduces the conservative provable-slack admission
-    /// exactly (no speculation, no journals). Results are byte-identical
-    /// for any value — the window only trades round size against rollback
-    /// frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn set_shard_window(&mut self, window: usize) {
-        assert!(window > 0, "shard window must be positive");
-        self.shard_window = Some(window);
-    }
-
-    /// Enables or disables contention-adaptive admission windows (also
-    /// settable at construction via `ZTM_SHARD_ADAPT`, default on). Off
-    /// reproduces the fixed-window regime: every CPU speculates to the
-    /// full structural bound regardless of rollback history. A pinned
-    /// [`set_shard_window`](Self::set_shard_window) also disables
-    /// adaptation — an explicit width means exactly that width. Results
-    /// are byte-identical either way; adaptation only trades round size
-    /// against rollback frequency, per CPU instead of globally.
-    pub fn set_shard_adapt(&mut self, on: bool) {
-        self.shard_adapt = on;
-    }
-
-    /// Sets the per-chain run-ahead ceiling (also settable at construction
-    /// via `ZTM_SHARD_RUN_AHEAD`). A host-cadence dial like the window:
-    /// results never depend on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn set_shard_run_ahead(&mut self, cap: u64) {
-        assert!(cap > 0, "run-ahead cap must be positive");
-        self.run_ahead_cap = cap;
-    }
-
     /// Enables or disables the full step log: every executed step is
-    /// recorded as a [`StepLogEntry`] in serial scheduling order. This is
-    /// the lockstep hook for the sharded-vs-serial differential tests;
-    /// unbounded, so keep runs short while enabled.
+    /// recorded as a [`StepLogEntry`] in scheduling order. This is the
+    /// lockstep hook for the stepping-mode differential tests; unbounded,
+    /// so keep runs short while enabled.
     pub fn set_step_log(&mut self, enabled: bool) {
         self.step_log = if enabled { Some(Vec::new()) } else { None };
     }
@@ -924,14 +595,10 @@ impl System {
         self.step_upto(1)
     }
 
-    /// Executes exactly one instruction on CPU `i` with full system access
-    /// (exclusive memory and page-table ports, the coherence fabric) and
-    /// performs every per-step obligation: timer interruptions, tracing, the
-    /// hot-mirror writeback, statistics, and broadcast-stop quiesce
-    /// management. Scheduling (heap maintenance, round planning) is the
-    /// caller's job — both the serial batch loop and the sharded
-    /// coordinator's global-step path funnel through here, which is what
-    /// keeps their per-step behavior identical by construction.
+    /// Executes exactly one instruction on CPU `i` and performs every
+    /// per-step obligation: timer interruptions, tracing, the hot-mirror
+    /// writeback, statistics, and broadcast-stop quiesce management.
+    /// Scheduling (heap maintenance) is the caller's job.
     fn exec_step(&mut self, i: usize) -> StepOutcome {
         // Timer interruptions (abort any running transaction, §II.A).
         if let Some(t) = self.config.timer_interval {
@@ -945,14 +612,13 @@ impl System {
         self.tracer.set_clock(self.hot_clock[i]);
         let mut view = View {
             cpu: i,
-            base: 0,
             now: self.hot_clock[i],
             tracer: &self.tracer,
             nodes: &mut self.nodes,
-            fabric: Some(&mut self.fabric),
-            mem: MemPort::Excl(&mut self.mem),
-            pages: PagePort::Direct(&mut self.pages),
-            fabric_busy: Some(&mut self.fabric_busy),
+            fabric: &mut self.fabric,
+            mem: &mut self.mem,
+            pages: &mut self.pages,
+            fabric_busy: &mut self.fabric_busy,
             config: &self.config,
             coalesce: self.coalesce,
             hit_slot: None,
@@ -1126,14 +792,13 @@ impl System {
         let end = prog.superblock_end(idx);
         let mut view = View {
             cpu: i,
-            base: 0,
             now: clock,
             tracer: &self.tracer,
             nodes: &mut self.nodes,
-            fabric: Some(&mut self.fabric),
-            mem: MemPort::Excl(&mut self.mem),
-            pages: PagePort::Direct(&mut self.pages),
-            fabric_busy: Some(&mut self.fabric_busy),
+            fabric: &mut self.fabric,
+            mem: &mut self.mem,
+            pages: &mut self.pages,
+            fabric_busy: &mut self.fabric_busy,
             config: &self.config,
             coalesce: self.coalesce,
             hit_slot: None,
@@ -1324,1084 +989,6 @@ impl System {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Sharded (host-parallel) execution
-    // ------------------------------------------------------------------
-
-    /// Whether the run methods should route through the sharded round
-    /// driver: more than one host thread requested, more than one shard in
-    /// the topology, and none of the inherently serial features engaged
-    /// (issue windows re-time retirement through per-step reports, the
-    /// legacy interpreter is a debug lever, and the disassembling step
-    /// trace reads program text during the step).
-    fn sharded_active(&self) -> bool {
-        self.sim_threads > 1
-            && self.pipeline.is_none()
-            && !self.use_legacy_interpreter
-            && !self.traced.iter().any(|&t| t)
-            && ShardPlan::new(&self.config.topology).shard_count() > 1
-    }
-
-    /// Classifies CPU `i`'s next instruction step without executing it
-    /// (coordinator entry point into [`classify_step_at`]).
-    fn classify_step(&self, i: usize) -> Candidate {
-        classify_step_at(
-            i,
-            self.hot_clock[i],
-            &self.nodes[i],
-            &self.cores[i],
-            self.programs[i].as_ref().expect("program loaded"),
-            &self.pages,
-            SlotView::Main(&self.mem),
-            &self.config,
-            self.coalesce,
-        )
-    }
-
-    /// Computes the [`GlobalTouch`] set of CPU `i`'s next — already
-    /// classified global — step. Evaluated immediately before the step
-    /// executes, against the same state the step will see, so the fabric
-    /// and directory walks are exact. Mirrors [`classify_step_at`]'s
-    /// reasons for going global, branch for branch.
-    fn global_touch(&self, i: usize) -> (GlobalTouch, RollbackCause) {
-        let node = &self.nodes[i];
-        let core = &self.cores[i];
-        let clock = self.hot_clock[i];
-        // A due timer tick raises an async interruption whose abort
-        // processing interrupts the OS (prefix TDB store, page-ins).
-        if let Some(t) = self.config.timer_interval {
-            if clock - node.last_timer >= t {
-                return (GlobalTouch::All, RollbackCause::Quiesce);
-            }
-        }
-        if let Some(cause) = node.engine.pending_abort() {
-            // Abort processing. A constrained retry can broadcast-stop
-            // (resynchronizing every clock), an OS-interrupting cause
-            // stores the prefix TDB and may page in, and the debug modes
-            // below can pile on. Otherwise the millicode writes at most
-            // the registered 256-byte TDB — touching the holders of the
-            // lines it spans.
-            if node.engine.constrained()
-                || cause.interrupts_os()
-                || core.per.enabled
-                || node.engine.tdc_active()
-            {
-                return (GlobalTouch::All, RollbackCause::Quiesce);
-            }
-            return match node.engine.tdb_addr() {
-                None => (GlobalTouch::Confined, RollbackCause::Tx),
-                Some(addr) => {
-                    let mut cpus = Vec::new();
-                    let last = addr.add(255).line();
-                    let mut line = addr.line();
-                    loop {
-                        let (owner, sharers) = self.fabric.holders(line);
-                        for c in owner.into_iter().chain(sharers) {
-                            if c.0 != i {
-                                cpus.push(c.0);
-                            }
-                        }
-                        if line == last {
-                            break;
-                        }
-                        line = LineAddr::new(line.index() + 1);
-                    }
-                    (GlobalTouch::Cpus(cpus), RollbackCause::Tx)
-                }
-            };
-        }
-        if core.per.enabled || node.engine.tdc_active() {
-            // Debug modes: resolve, don't reason.
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        let in_tx = node.engine.in_tx();
-        if in_tx && node.engine.constrained() {
-            // Constraint violations escalate (possibly to broadcast-stop).
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        let prog = self.programs[i].as_ref().expect("program loaded");
-        let d = prog.decoded(core.pc);
-        // A text page-in bumps the page-residency epoch, invalidating
-        // every CPU's line windows and ifetch snapshots mid-epoch.
-        if self.pages.check(Address::new(d.addr)).is_err() {
-            return (GlobalTouch::All, RollbackCause::Quiesce);
-        }
-        if in_tx
-            && matches!(
-                d.class,
-                InstrClass::RestrictedInTx | InstrClass::ArModifying | InstrClass::FprModifying
-            )
-        {
-            return (GlobalTouch::All, RollbackCause::Tx);
-        }
-        match d.op {
-            // Engine-only transaction bookkeeping. A TEND commit drains
-            // only lines this CPU holds exclusively (and an arena-slot
-            // allocation is monotone — it can't invalidate any local
-            // verdict), a TABORT or nested-TBEGIN overflow only sets the
-            // pending cause, and TBEGINC's broadcast-stop happens at the
-            // *abort* step, covered by the constrained branch above.
-            Op::Tbegin | Op::Tbeginc | Op::Tend | Op::Tabort => {
-                (GlobalTouch::Confined, RollbackCause::Tx)
-            }
-            Op::Lg => (
-                self.data_touch(i, d, d.flags & FLAG_FOR_UPDATE != 0, AccessClass::Fetch),
-                RollbackCause::Fabric,
-            ),
-            Op::Ltg | Op::Cg => (
-                self.data_touch(i, d, false, AccessClass::Fetch),
-                RollbackCause::Fabric,
-            ),
-            Op::Stg | Op::Stckf | Op::Csg => (
-                self.data_touch(i, d, true, AccessClass::Store),
-                RollbackCause::Fabric,
-            ),
-            Op::Ntstg => {
-                if !effective_address_decoded(core, d).is_aligned(8) {
-                    // Specification exception → OS.
-                    return (GlobalTouch::All, RollbackCause::Quiesce);
-                }
-                (
-                    self.data_touch(i, d, true, AccessClass::Store),
-                    RollbackCause::Fabric,
-                )
-            }
-            // Dsgr division by zero (the only global verdict left for it)
-            // raises a program exception, and anything unrecognized
-            // resolves everything rather than reasons about it.
-            _ => (GlobalTouch::All, RollbackCause::Quiesce),
-        }
-    }
-
-    /// Touch set of a global data access: the XI receivers and same-chip
-    /// L3-eviction candidates of the fabric fetch (and of a possible
-    /// next-line speculative prefetch) it is about to perform. Mirrors
-    /// [`classify_data_at`]'s walk; the prefetch dice is *not* rolled —
-    /// including line+1's holders whenever the roll is possible is a
-    /// superset that at worst forces an unnecessary resolution.
-    fn data_touch(
-        &self,
-        i: usize,
-        d: &DecodedInstr,
-        want_excl: bool,
-        class: AccessClass,
-    ) -> GlobalTouch {
-        let node = &self.nodes[i];
-        let core = &self.cores[i];
-        let excl = class == AccessClass::Store || want_excl;
-        let ea = effective_address_decoded(core, d);
-        if !ea.fits_in_line(8) {
-            return GlobalTouch::All; // specification exception → OS
-        }
-        let line = ea.line();
-        let in_tx = node.engine.in_tx();
-        let window_ok = self.coalesce
-            && node.last_data.is_some_and(|w| {
-                w.line == line
-                    && (w.excl || !excl)
-                    && w.gen == node.cache.generation()
-                    && w.page_epoch == self.pages.epoch()
-                    && (!in_tx
-                        || node
-                            .cache
-                            .l1_tx_marks(line)
-                            .is_some_and(|(read, dirty)| match class {
-                                AccessClass::Fetch => read,
-                                AccessClass::Store => dirty,
-                            }))
-            });
-        let main_fetch = if window_ok {
-            false
-        } else {
-            if self.pages.check(ea).is_err() {
-                return GlobalTouch::All; // page-in bumps the page epoch
-            }
-            node.cache.probe_local(line, excl).is_none()
-        };
-        let may_prefetch = class == AccessClass::Fetch
-            && in_tx
-            && self.config.speculative_prefetch
-            && self.config.prefetch_probability > 0.0
-            && !node.engine.speculation_disabled();
-        let mut cpus = Vec::new();
-        if main_fetch {
-            self.fabric
-                .fetch_touch(CpuId(i), line, may_prefetch, &mut cpus);
-        } else if may_prefetch {
-            self.fabric
-                .fetch_touch(CpuId(i), LineAddr::new(line.index() + 1), false, &mut cpus);
-        }
-        // A remaining global verdict with no fetch at all (a non-tx store
-        // without an arena slot) only allocates under the coordinator's
-        // exclusive memory: the empty set.
-        GlobalTouch::Cpus(cpus.into_iter().map(|c| c.0).collect())
-    }
-
-    /// Closes CPU `j`'s speculative epoch as final (the frontier passed
-    /// it, or a resolution proved it untouched): drops the journals,
-    /// recycles the snapshot box for the next epoch, and rewards the CPU
-    /// with additive window growth — its speculation survived.
-    fn finalize_epoch(&mut self, j: usize) {
-        if let Some(ep) = self.nodes[j].spec.take() {
-            self.nodes[j].cache.undo_discard();
-            self.nodes[j].icache.undo_discard();
-            self.nodes[j].spec_pool = Some(ep);
-            self.adapt_grow(j);
-        }
-    }
-
-    /// Finalizes CPU `j`'s epoch when every speculated key precedes `cut`,
-    /// rolls it back past `cut` otherwise. Returns the steps undone.
-    fn resolve_epoch_past(
-        &mut self,
-        j: usize,
-        cut: (u64, usize),
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        let Some(ep) = self.nodes[j].spec.as_ref() else {
-            return 0;
-        };
-        let keep = ep.keys.partition_point(|&k| (k, j) < cut);
-        if keep == ep.keys.len() {
-            self.finalize_epoch(j);
-            0
-        } else {
-            self.rollback_epoch_to(j, keep, cut, cause, plan, shard_tracers)
-        }
-    }
-
-    /// Resolves the open epochs a global step about to execute at key `g`
-    /// can reach: the stepping CPU's own epoch is final (its speculated
-    /// steps precede the step in program order), and each epoch in `touch`
-    /// is finalized or rolled back past `g`. Epochs outside the touch set
-    /// stay open — the step provably cannot observe or invalidate them.
-    /// Returns the speculated steps undone.
-    fn resolve_epochs_for_global(
-        &mut self,
-        g: (u64, usize),
-        touch: GlobalTouch,
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        self.finalize_epoch(g.1);
-        let mut undone = 0;
-        match touch {
-            GlobalTouch::Confined => {}
-            GlobalTouch::Cpus(mut cpus) => {
-                cpus.sort_unstable();
-                cpus.dedup();
-                for j in cpus {
-                    if j != g.1 {
-                        undone += self.resolve_epoch_past(j, g, cause, plan, shard_tracers);
-                    }
-                }
-            }
-            GlobalTouch::All => {
-                for j in 0..self.nodes.len() {
-                    if j != g.1 {
-                        undone += self.resolve_epoch_past(j, g, cause, plan, shard_tracers);
-                    }
-                }
-            }
-        }
-        undone
-    }
-
-    /// Resolves every open epoch against the serial frontier (the smallest
-    /// next key of any runnable CPU) for a `limit` boundary: afterwards the
-    /// executed steps are exactly a serial prefix. The frontier CPU's own
-    /// epoch is final (its steps precede its next step in program order);
-    /// every other epoch finalizes or rolls back past the frontier. A
-    /// rollback rewinds its CPU to a key strictly *above* the cut (its kept
-    /// keys are below it and `j` breaks ties), so the frontier computed up
-    /// front stays the minimum throughout. Returns the steps undone.
-    fn resolve_epochs_to_frontier(&mut self, plan: &ShardPlan, shard_tracers: &[Tracer]) -> u64 {
-        let mut min: Option<(u64, usize)> = None;
-        for i in 0..self.hot_clock.len() {
-            if self.hot_running[i] && self.programs[i].is_some() {
-                let key = (self.hot_clock[i], i);
-                if min.is_none_or(|m| key < m) {
-                    min = Some(key);
-                }
-            }
-        }
-        let Some(cut) = min else {
-            // Everything halted: the speculated steps are the only steps
-            // left, so they are the serial tail and all final.
-            for j in 0..self.nodes.len() {
-                self.finalize_epoch(j);
-            }
-            return 0;
-        };
-        let mut undone = 0;
-        for j in 0..self.nodes.len() {
-            if j == cut.1 {
-                self.finalize_epoch(j);
-            } else {
-                undone +=
-                    self.resolve_epoch_past(j, cut, RollbackCause::Quiesce, plan, shard_tracers);
-            }
-        }
-        undone
-    }
-
-    /// Rewinds CPU `j`'s open epoch to its start — shared-arena pre-images
-    /// newest-first, cache undo journals, then the node/core snapshots —
-    /// and silently replays the `keep`-step prefix whose keys precede
-    /// `cut`, erasing every speculated step at or past the cut from the
-    /// node, the arena, and the pending output buffers. Replay is exact:
-    /// it starts from the identical pre-epoch state, runs the identical
-    /// node-local steps, and nothing a concurrent epoch did is visible to
-    /// it (MESI isolation). Its output is discarded (tracers disabled, no
-    /// log) — the speculative run already produced it and the kept keys'
-    /// pending entries survive the purge. Returns the steps undone.
-    fn rollback_epoch_to(
-        &mut self,
-        j: usize,
-        keep: usize,
-        cut: (u64, usize),
-        cause: RollbackCause,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-    ) -> u64 {
-        let mut ep = self.nodes[j]
-            .spec
-            .take()
-            .expect("rollback without an epoch");
-        let undone = (ep.keys.len() - keep) as u64;
-        debug_assert!(undone > 0, "rollback with nothing to undo");
-        for &(addr, byte) in ep.mem_journal.iter().rev() {
-            self.mem.store_bytes(addr, &[byte]);
-        }
-        // Swap the snapshots back in (rather than moving out of the box) so
-        // the box and its buffers recycle into the epoch pool below.
-        let node = &mut self.nodes[j];
-        node.cache.undo_rollback();
-        node.icache.undo_rollback();
-        std::mem::swap(&mut node.engine, &mut *ep.engine);
-        std::mem::swap(&mut node.rng, &mut ep.rng);
-        node.last_ifetch = ep.last_ifetch;
-        node.icache_installs = ep.icache_installs;
-        node.last_ifetch_installs = ep.last_ifetch_installs;
-        node.last_ifetch_page_epoch = ep.last_ifetch_page_epoch;
-        node.last_data = ep.last_data;
-        node.coalesced = ep.coalesced;
-        std::mem::swap(&mut node.stm, &mut ep.stm);
-        std::mem::swap(&mut self.cores[j], &mut *ep.core);
-        // Kept keys precede the cut and undone keys follow it (`j` never
-        // ties the cut), so a key comparison splits the pending output.
-        self.pending_log
-            .retain(|e| e.cpu != j || (e.clock, e.cpu) < cut);
-        self.pending_blocks
-            .retain(|b| b.1 as usize != j || (b.0, b.1 as usize) < cut);
-        let disabled = Tracer::disabled();
-        self.nodes[j].cache.set_tracer(disabled.clone());
-        self.nodes[j].engine.set_tracer(disabled.clone());
-        let prog = Arc::clone(self.programs[j].as_ref().expect("program loaded"));
-        for r in 0..keep {
-            let clock = self.cores[j].clock;
-            debug_assert_eq!(clock, ep.keys[r], "replay diverged from the epoch");
-            let mut view = View {
-                cpu: j,
-                base: 0,
-                now: clock,
-                tracer: &disabled,
-                nodes: &mut self.nodes,
-                fabric: None,
-                mem: MemPort::Excl(&mut self.mem),
-                pages: PagePort::Check(&self.pages),
-                fabric_busy: None,
-                config: &self.config,
-                coalesce: self.coalesce,
-                hit_slot: None,
-            };
-            let out = ztm_isa::step(&mut self.cores[j], &prog, &mut view);
-            debug_assert!(
-                !out.broadcast_stop && out.event != StepEvent::Stalled,
-                "a replayed step must be node-local"
-            );
-        }
-        self.hot_clock[j] = self.cores[j].clock;
-        self.hot_running[j] = self.cores[j].is_running();
-        // Rewire the round tracer for subsequent rounds (disabled stand-in
-        // when the run isn't buffering — same as every other CPU).
-        let t = shard_tracers[plan.shard_of(j)].for_cpu(j as u16);
-        self.nodes[j].cache.set_tracer(t.clone());
-        self.nodes[j].engine.set_tracer(t);
-        self.steps -= undone;
-        self.sharded_local_steps -= undone;
-        self.shard_rollbacks += 1;
-        self.shard_replayed += keep as u64;
-        match cause {
-            RollbackCause::Tx => self.shard_rb_tx += 1,
-            RollbackCause::Fabric => self.shard_rb_fabric += 1,
-            RollbackCause::Quiesce => self.shard_rb_quiesce += 1,
-        }
-        // Punish the rollback multiplicatively, score the contention that
-        // caused it, and recycle the snapshot box.
-        self.adapt_shrink(j);
-        if matches!(cause, RollbackCause::Tx | RollbackCause::Fabric) {
-            self.adapt_name(j);
-        }
-        self.nodes[j].spec_pool = Some(ep);
-        undone
-    }
-
-    /// CPU `i`'s effective admission window: the conservative 1-cycle
-    /// slack while the touch score holds it clamped (a contended CPU —
-    /// lock-line holder, XI magnet — never opens epochs at all), its
-    /// adaptive window otherwise.
-    fn eff_win(&self, i: usize) -> u64 {
-        if self.adapt_touch[i] >= ADAPT_CLAMP_AT {
-            1
-        } else {
-            self.adapt_win[i]
-        }
-    }
-
-    /// Multiplicative shrink on a rollback: the CPU speculated past a
-    /// global step's key and paid for it, so its window collapses toward
-    /// [`ADAPT_FLOOR`] — the width where rollbacks stop cutting any real
-    /// prefix. Only the clamp goes below that.
-    fn adapt_shrink(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            let floor = ADAPT_FLOOR.min(self.adapt_max);
-            self.adapt_win[j] = (self.adapt_win[j] / ADAPT_SHRINK_DIV).max(floor);
-        }
-    }
-
-    /// Additive growth on a finalized-clean epoch: speculation survived,
-    /// so the window creeps back toward the structural latency bound.
-    fn adapt_grow(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            self.adapt_win[j] = (self.adapt_win[j] + ADAPT_GROW).min(self.adapt_max);
-        }
-    }
-
-    /// Bumps CPU `j`'s touch score (saturating): a bounded `GlobalTouch`
-    /// set named it *and the naming cut an open epoch* — the CPU holds
-    /// lines that serialized steps keep reaching while it speculates.
-    /// Mere naming without damage is not scored (in a hot workload every
-    /// fabric step names most holders, which would drown the signal), and
-    /// neither are `Quiesce` cuts (timers and budget frontiers say nothing
-    /// about who is contended).
-    fn adapt_name(&mut self, j: usize) {
-        if self.adapt_active && !self.adapt_touch.is_empty() {
-            self.adapt_touch[j] = (self.adapt_touch[j] + 1).min(ADAPT_SCORE_MAX);
-        }
-    }
-
-    /// Per-global-step adaptation clock. Every [`ADAPT_SWEEP`] serialized
-    /// steps the touch scores *halve* — contention is forgiven fast once
-    /// the naming stops, and holding a clamp needs a sustained naming rate
-    /// of ~[`ADAPT_CLAMP_AT`] damaging cuts per sweep — and every
-    /// unclamped CPU's window regrows by a one-cycle probe, so a width
-    /// lost to a past contention phase drifts back toward the structural
-    /// bound even when the CPU rarely opens epochs. Driven purely by the
-    /// deterministic serialized-step count, never host time or thread
-    /// count.
-    fn adapt_tick(&mut self) {
-        if !self.adapt_active || self.adapt_win.is_empty() {
-            return;
-        }
-        self.adapt_ticks += 1;
-        if !self.adapt_ticks.is_multiple_of(ADAPT_SWEEP) {
-            return;
-        }
-        for i in 0..self.adapt_win.len() {
-            self.adapt_touch[i] /= 2;
-            if self.adapt_touch[i] < ADAPT_CLAMP_AT {
-                // A one-cycle probe: enough to let a fully-shrunk CPU open
-                // a (tiny, cheap) epoch again and earn real growth through
-                // clean finalizes if the contention has moved on.
-                self.adapt_win[i] = (self.adapt_win[i] + 1).min(self.adapt_max);
-            }
-        }
-    }
-
-    /// Runs up to `limit` steps through the sharded round scheduler,
-    /// stopping early when every CPU halts or, with `horizon`, when the
-    /// next serial pick would start at or past it (the exact
-    /// [`run_for_cycles`](Self::run_for_cycles) stopping rule). Returns
-    /// how many steps executed.
-    ///
-    /// Each round classifies every runnable CPU within one cycle of the
-    /// minimum `(clock, cpu)` key and executes the [`safe_set`] — the
-    /// key-ordered prefix of provably node-local steps the serial
-    /// scheduler would run next, partitioned across shards. Each admitted
-    /// CPU then *runs ahead* inside its shard: the shard re-classifies the
-    /// CPU's own next step (node state and the read-only shared structures
-    /// are all it needs) and keeps executing while the step stays local
-    /// and its key stays strictly below the round bound — the earliest
-    /// key at which any *other* runnable CPU could next go global. Rounds
-    /// concatenated in key order *are* the serial step sequence, so state,
-    /// statistics, step logs, and the replayed event stream are
-    /// byte-identical to the single-threaded scheduler for any host-thread
-    /// count.
-    fn run_sharded_upto(&mut self, limit: u64, horizon: Option<u64>) -> u64 {
-        if self.hot_dirty {
-            self.sync_hot();
-        }
-        let plan = ShardPlan::new(&self.config.topology);
-        let shard_count = plan.shard_count();
-
-        // Reroute every event emitter into per-shard buffers (plus one for
-        // the coordinator: the fabric and pipeline emit through
-        // `self.tracer`) sharing a single ticket counter. Each round's
-        // buffered events are replayed into the real sink in serial step
-        // order before the next round, so sinks observe the exact serial
-        // stream.
-        let real = self.tracer.clone();
-        let buffering = real.is_enabled();
-        let mut shard_tracers: Vec<Tracer> = Vec::new();
-        let mut shard_bufs: Vec<Arc<Mutex<EventBuffer>>> = Vec::new();
-        let mut sys_buf: Option<Arc<Mutex<EventBuffer>>> = None;
-        if buffering {
-            let seq = Arc::new(AtomicU64::new(0));
-            for s in 0..shard_count {
-                let (t, b) = Tracer::buffering(Arc::clone(&seq));
-                for cpu in plan.range(s) {
-                    self.nodes[cpu].cache.set_tracer(t.for_cpu(cpu as u16));
-                    self.nodes[cpu].engine.set_tracer(t.for_cpu(cpu as u16));
-                }
-                shard_tracers.push(t);
-                shard_bufs.push(b);
-            }
-            let (t, b) = Tracer::buffering(seq);
-            self.fabric.set_tracer(t.clone());
-            self.tracer = t;
-            sys_buf = Some(b);
-        } else {
-            // Disabled stand-ins keep the shard-step path uniform.
-            shard_tracers = (0..shard_count).map(|_| Tracer::disabled()).collect();
-        }
-
-        // Speculation window: how many cycles past the round minimum a
-        // CPU's key may lie and still join a round. The default is the
-        // fabric's provable cross-boundary latency bound — any fetch that
-        // crosses a shard boundary costs at least this many cycles, so
-        // global steps rarely land inside an already-speculated window and
-        // rollbacks stay rare. Window 1 is the pinned escape hatch: it
-        // reproduces the conservative provable-slack admission exactly
-        // (no epochs, no journals).
-        let window = self.shard_window.map_or_else(
-            || {
-                self.config
-                    .latency
-                    .min_cross_boundary_latency(self.config.topology.mcm_count() <= 1)
-            },
-            |w| w as u64,
-        );
-        // Contention adaptation engages only for the *default* (structural)
-        // window: an explicit `ZTM_SHARD_WINDOW` pin means "exactly this
-        // width", and window 1 has nothing to adapt. Adaptation state is a
-        // pure function of the deterministic serialized-step and rollback
-        // history, so results stay byte-identical for any thread count —
-        // and for `ZTM_SHARD_ADAPT=0`, which merely trades rounds for
-        // rollbacks on the same serial step sequence.
-        let adaptive = self.shard_adapt && self.shard_window.is_none() && window > 1;
-        self.adapt_active = adaptive;
-        self.adapt_max = window.min(ADAPT_CAP);
-        if adaptive && self.adapt_win.len() != self.hot_clock.len() {
-            self.adapt_win = vec![self.adapt_max; self.hot_clock.len()];
-            self.adapt_touch = vec![0; self.hot_clock.len()];
-        }
-
-        let mut executed = 0u64;
-        let mut cands: Vec<Candidate> = Vec::new();
-        // `done` = nothing left to run this side of the frontier (all CPUs
-        // halted, or every next key is at or past the horizon): pending
-        // run-ahead output is final and flushes completely. A `limit` exit
-        // leaves it pending — the continuation call may still execute
-        // smaller keys.
-        let mut done = false;
-        // Set once a `limit` boundary forces the speculation frontier to
-        // resolve: the remaining budget then runs under the conservative
-        // admission, which exits exactly at `limit` without opening new
-        // epochs (a speculate-resolve cycle at the boundary could undo as
-        // much as it executes and never converge).
-        let mut conservative_tail = false;
-        loop {
-            if executed >= limit {
-                // Speculated steps are not yet a serial prefix: resolve
-                // every open epoch back to the frontier, then re-check the
-                // budget against the exact count.
-                executed -= self.resolve_epochs_to_frontier(&plan, &shard_tracers);
-                if executed >= limit {
-                    break;
-                }
-                conservative_tail = true;
-            }
-            // Mirror the serial scheduler: a running broadcast-stop holder
-            // is stepped directly; otherwise the smallest (clock, cpu)
-            // runnable CPU is next.
-            let holder = match self.quiesce {
-                Some(h) if self.hot_running[h] => Some(h),
-                _ => {
-                    self.quiesce = None;
-                    None
-                }
-            };
-            let mut min: Option<(u64, usize)> = None;
-            for i in 0..self.hot_clock.len() {
-                if self.hot_running[i] && self.programs[i].is_some() {
-                    let key = (self.hot_clock[i], i);
-                    if min.is_none_or(|m| key < m) {
-                        min = Some(key);
-                    }
-                }
-            }
-            let Some((min_clock, min_cpu)) = min else {
-                done = true;
-                break;
-            };
-            // Epochs the frontier has passed are final: every future cut
-            // key is at least the frontier, so a journal whose last key
-            // precedes it can never be needed — drop it and keep journals
-            // short.
-            for j in 0..self.nodes.len() {
-                let passed = self.nodes[j].spec.as_ref().is_some_and(|ep| {
-                    ep.keys
-                        .last()
-                        .is_none_or(|&k| (k, j) < (min_clock, min_cpu))
-                });
-                if passed {
-                    self.finalize_epoch(j);
-                }
-            }
-            // Frontier flush: every future step's key is at least the
-            // serial minimum, so pending run-ahead output strictly below
-            // it is in its final position.
-            self.flush_pending_below((min_clock, min_cpu), &real);
-            if horizon.is_some_and(|hz| min_clock >= hz) {
-                done = true;
-                break;
-            }
-            if let Some(h) = holder {
-                // A quiesce only starts at a constrained-retry abort — a
-                // global step whose resolution closed every epoch before
-                // it executed — and no local round runs while it holds.
-                debug_assert!(
-                    self.nodes.iter().all(|n| n.spec.is_none()),
-                    "open epoch across a quiesce"
-                );
-                self.flush_pending_below((u64::MAX, usize::MAX), &real);
-                self.exec_global_round(h, &shard_tracers, &shard_bufs, sys_buf.as_ref(), &real);
-                executed += 1;
-                continue;
-            }
-            // The horizon is a hard key ceiling: nothing at or past
-            // `(hz, 0)` may execute, whether admitted or run ahead.
-            let ceiling = horizon.map_or((u64::MAX, usize::MAX), |hz| (hz, 0));
-            if window > 1 && !conservative_tail {
-                // --- Slack-width (speculative) admission ---
-                // Each CPU joins the round only while its key lies within
-                // its *own* effective window of the minimum: the full
-                // structural slack while its speculation keeps surviving,
-                // the provable 1-cycle slack while the controller holds it
-                // clamped. CPUs outside their window still bound the
-                // journal-free horizon at their current key (they could go
-                // global the moment they become schedulable).
-                cands.clear();
-                let mut outside = (u64::MAX, usize::MAX);
-                for i in 0..self.hot_clock.len() {
-                    if self.hot_running[i] && self.programs[i].is_some() {
-                        let w = if adaptive { self.eff_win(i) } else { window };
-                        if self.hot_clock[i] <= min_clock.saturating_add(w) {
-                            cands.push(self.classify_step(i));
-                        } else {
-                            outside = outside.min((self.hot_clock[i], i));
-                        }
-                    }
-                }
-                let serial_global = cands
-                    .iter()
-                    .find(|c| (c.clock, c.cpu) == (min_clock, min_cpu))
-                    .expect("serial pick is in the window")
-                    .global;
-                if serial_global {
-                    // The serial pick itself is global: resolve exactly
-                    // the epochs its side effects can reach (rolling them
-                    // back past its key), release the now-final prefix —
-                    // the stepping CPU's own zero-cycle priors share its
-                    // clock, hence the `+ 1` — and serialize the step.
-                    // Untouched speculation with larger keys stays pending
-                    // and is released once the frontier passes it.
-                    let (touch, cause) = self.global_touch(min_cpu);
-                    executed -= self.resolve_epochs_for_global(
-                        (min_clock, min_cpu),
-                        touch,
-                        cause,
-                        &plan,
-                        &shard_tracers,
-                    );
-                    self.adapt_tick();
-                    self.flush_pending_below((min_clock, min_cpu + 1), &real);
-                    self.exec_global_round(
-                        min_cpu,
-                        &shard_tracers,
-                        &shard_bufs,
-                        sys_buf.as_ref(),
-                        &real,
-                    );
-                    executed += 1;
-                    continue;
-                }
-                // Admit every local candidate below the ceiling whose key
-                // precedes its bound. Global candidates above the minimum
-                // simply wait — speculation may pass their keys and is
-                // rolled back if their side effects demand it when they
-                // serialize. Each admitted step carries two keys: `safe`,
-                // the smallest earliest-possible-global key of any *other*
-                // CPU (below it steps are provably final and run without a
-                // journal — PR 7's conservative argument), and `bound`,
-                // the speculative ceiling `min + w + 1` past which the
-                // chain must stop. A clamped CPU (w = 1) gets
-                // `bound == safe`: it never arms an epoch at all.
-                let eg = EgMin::new(&cands);
-                let mut steps: Vec<ShardStep> = Vec::with_capacity(cands.len());
-                for (at, c) in cands.iter().enumerate() {
-                    if c.global || (c.clock, c.cpu) >= ceiling {
-                        continue;
-                    }
-                    let safe = eg.excluding(at).min(outside).min(ceiling);
-                    let w = if adaptive {
-                        self.eff_win(c.cpu)
-                    } else {
-                        window
-                    };
-                    let bound = if w > 1 {
-                        safe.max((min_clock.saturating_add(w).saturating_add(1), 0).min(ceiling))
-                    } else {
-                        safe
-                    };
-                    if (c.clock, c.cpu) < bound {
-                        steps.push(ShardStep {
-                            cpu: c.cpu,
-                            clock: c.clock,
-                            bound,
-                            safe,
-                        });
-                    }
-                }
-                steps.sort_unstable_by_key(|s| (s.clock, s.cpu));
-                // Same budget math as the conservative path: take · cap
-                // never exceeds the remaining budget (integer division),
-                // so `executed` can reach `limit` but never overshoot it.
-                // The serial-minimum step is always admitted (every other
-                // CPU's bound exceeds its key), so `take >= 1`.
-                let remaining = limit - executed;
-                let take = (steps.len() as u64).min(remaining) as usize;
-                steps.truncate(take);
-                let cap = (remaining / take as u64).clamp(1, self.run_ahead_cap);
-                executed += self.exec_local_round(
-                    &steps,
-                    cap,
-                    &plan,
-                    &shard_tracers,
-                    &shard_bufs,
-                    buffering,
-                    true,
-                );
-                continue;
-            }
-            // --- Conservative (provable 1-cycle slack) admission ---
-            // Only CPUs within one cycle of the minimum can join the
-            // round; every runnable CPU beyond that window still bounds
-            // run-ahead conservatively at its current key (it could go
-            // global the moment it becomes schedulable).
-            cands.clear();
-            let mut outside = (u64::MAX, usize::MAX);
-            for i in 0..self.hot_clock.len() {
-                if self.hot_running[i] && self.programs[i].is_some() {
-                    if self.hot_clock[i] <= min_clock + 1 {
-                        cands.push(self.classify_step(i));
-                    } else {
-                        outside = outside.min((self.hot_clock[i], i));
-                    }
-                }
-            }
-            let mut safe = safe_set(&cands);
-            // Admission truncation at the ceiling is a prefix cut and
-            // never empties a non-empty set — the serial-min key is below
-            // the horizon, checked above.
-            if horizon.is_some() {
-                safe.truncate(
-                    safe.partition_point(|&(at, _)| (cands[at].clock, cands[at].cpu) < ceiling),
-                );
-            }
-            if safe.is_empty() {
-                // The serial pick itself is global: run exactly that one
-                // step under the coordinator and re-plan. Pending keys are
-                // all below a global step's key in conservative mode
-                // (run-ahead never passes another CPU's earliest-possible-
-                // global key), so they flush first.
-                self.flush_pending_below((u64::MAX, usize::MAX), &real);
-                self.exec_global_round(
-                    min_cpu,
-                    &shard_tracers,
-                    &shard_bufs,
-                    sys_buf.as_ref(),
-                    &real,
-                );
-                executed += 1;
-                continue;
-            }
-            // A key-ordered prefix of the safe set is still an exact
-            // serial prefix — truncate to the remaining step budget, and
-            // divide what's left of the budget into per-chain run-ahead
-            // caps so a round can never overshoot `limit`.
-            let remaining = limit - executed;
-            let take = (safe.len() as u64).min(remaining) as usize;
-            let cap = (remaining / take as u64).clamp(1, self.run_ahead_cap);
-            let steps: Vec<ShardStep> = safe[..take]
-                .iter()
-                .map(|&(at, bound)| {
-                    let b = bound.min(outside).min(ceiling);
-                    ShardStep {
-                        cpu: cands[at].cpu,
-                        clock: cands[at].clock,
-                        bound: b,
-                        // `safe == bound`: every conservative step is
-                        // provably final, so no chain ever arms an epoch.
-                        safe: b,
-                    }
-                })
-                .collect();
-            executed += self.exec_local_round(
-                &steps,
-                cap,
-                &plan,
-                &shard_tracers,
-                &shard_bufs,
-                buffering,
-                false,
-            );
-        }
-
-        // All halted or horizon reached: no future step can precede any
-        // pending or speculated key (chains were bounded by the ceiling),
-        // so the tail of the run-ahead output is final. (A `limit` exit
-        // resolved its epochs at the budget boundary above.)
-        if done {
-            for j in 0..self.nodes.len() {
-                self.finalize_epoch(j);
-            }
-            self.flush_pending_below((u64::MAX, usize::MAX), &real);
-        }
-        debug_assert!(
-            self.nodes.iter().all(|n| n.spec.is_none()),
-            "open epoch across a sharded-run boundary"
-        );
-        // Restore the real tracer wiring (`set_tracer` re-fans the per-CPU
-        // clones) and rebuild the scheduling heap for the serial engine.
-        if buffering {
-            self.set_tracer(real);
-        }
-        self.ready.clear();
-        for i in 0..self.hot_clock.len() {
-            if self.hot_running[i] && self.programs[i].is_some() {
-                self.ready
-                    .push(Reverse(Self::pack_entry(self.hot_clock[i], i)));
-            }
-        }
-        executed
-    }
-
-    /// Releases pending run-ahead output whose `(clock, cpu)` key is
-    /// strictly below `key`: step-log entries move into the real log and
-    /// event blocks replay into the real tracer, in serial key order.
-    /// Callers pass the current frontier (no future step's key can be
-    /// smaller) or `(u64::MAX, usize::MAX)` to flush everything.
-    fn flush_pending_below(&mut self, key: (u64, usize), real: &Tracer) {
-        if !self.pending_log.is_empty() {
-            let n = self.pending_log.partition_point(|e| (e.clock, e.cpu) < key);
-            let released = self.pending_log.drain(..n);
-            if let Some(log) = self.step_log.as_mut() {
-                log.extend(released);
-            }
-        }
-        if !self.pending_blocks.is_empty() {
-            let n = self
-                .pending_blocks
-                .partition_point(|b| (b.0, b.1 as usize) < key);
-            for (_, _, events) in self.pending_blocks.drain(..n) {
-                replay_events(real, &events);
-            }
-        }
-    }
-
-    /// One serialized step under the coordinator. Every shard tracer's
-    /// clock is aligned first — a global step can emit against any node
-    /// (XIs, quiesce release) — and the step's buffered events are merged
-    /// by emission ticket and replayed immediately: rounds execute in
-    /// serial key order, so replay order is arrival order.
-    fn exec_global_round(
-        &mut self,
-        i: usize,
-        shard_tracers: &[Tracer],
-        shard_bufs: &[Arc<Mutex<EventBuffer>>],
-        sys_buf: Option<&Arc<Mutex<EventBuffer>>>,
-        real: &Tracer,
-    ) {
-        if let Some(sys) = sys_buf {
-            for t in shard_tracers {
-                t.set_clock(self.hot_clock[i]);
-            }
-            self.exec_step(i);
-            let mut events: Vec<SeqTracedEvent> = Vec::new();
-            for b in shard_bufs {
-                events.extend(b.lock().expect("event buffer poisoned").drain());
-            }
-            events.extend(sys.lock().expect("event buffer poisoned").drain());
-            events.sort_unstable_by_key(|e| e.seq);
-            replay_events(real, &events);
-        } else {
-            self.exec_step(i);
-        }
-    }
-
-    /// Executes one round's safe set, returning how many steps ran
-    /// (admitted steps plus in-shard run-ahead). The set arrives in serial
-    /// `(clock, cpu)` order; grouping by shard preserves each shard's
-    /// internal order, and admitted steps of different shards commute, so
-    /// running shards concurrently on host threads cannot change any
-    /// outcome. Inline execution and `thread::scope` drive the *same*
-    /// shard-step function — thread count selects a schedule, never a code
-    /// path. Step logs and event blocks are merged back in key order
-    /// (stable, so a chain's equal-key zero-cycle entries keep their
-    /// execution order), which *is* the round's serial execution order.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_local_round(
-        &mut self,
-        steps: &[ShardStep],
-        cap: u64,
-        plan: &ShardPlan,
-        shard_tracers: &[Tracer],
-        shard_bufs: &[Arc<Mutex<EventBuffer>>],
-        buffering: bool,
-        spec: bool,
-    ) -> u64 {
-        let shard_count = plan.shard_count();
-        let mut per_shard: Vec<Vec<ShardStep>> = vec![Vec::new(); shard_count];
-        for &s in steps {
-            per_shard[plan.shard_of(s.cpu)].push(s);
-        }
-        let involved = per_shard.iter().filter(|w| !w.is_empty()).count();
-        let want_log = self.step_log.is_some();
-        // Spawning scoped threads costs tens of microseconds per round;
-        // only rounds with enough work to amortize that go parallel —
-        // smaller ones run inline through the identical shard-step code,
-        // so the cutoff affects host speed only, never results.
-        let run_parallel =
-            involved >= 2 && self.sim_threads > 1 && steps.len() >= self.par_round_min;
-        let bases: Vec<usize> = (0..shard_count).map(|s| plan.range(s).start).collect();
-
-        let shared = SharedMem::new(&mut self.mem);
-        let node_chunks = split_mut(&mut self.nodes, plan.bounds());
-        let core_chunks = split_mut(&mut self.cores, plan.bounds());
-        let clock_chunks = split_mut(&mut self.hot_clock, plan.bounds());
-        let running_chunks = split_mut(&mut self.hot_running, plan.bounds());
-        let chunks: Vec<_> = node_chunks
-            .into_iter()
-            .zip(core_chunks)
-            .zip(clock_chunks)
-            .zip(running_chunks)
-            .map(|(((n, c), cl), r)| (n, c, cl, r))
-            .collect();
-        let pages = &self.pages;
-        let config = &self.config;
-        let programs = &self.programs[..];
-        let coalesce = self.coalesce;
-
-        let results: Vec<ShardRunResult> = if run_parallel {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(involved);
-                for (s, chunk) in chunks.into_iter().enumerate() {
-                    let work = std::mem::take(&mut per_shard[s]);
-                    if work.is_empty() {
-                        continue;
-                    }
-                    let (nodes, cores, clocks, running) = chunk;
-                    let base = bases[s];
-                    let tracer = &shard_tracers[s];
-                    let buf = shard_bufs.get(s);
-                    handles.push(scope.spawn(move || {
-                        run_shard_steps(
-                            &work, cap, base, nodes, cores, clocks, running, shared, pages, config,
-                            programs, coalesce, tracer, buf, want_log, spec,
-                        )
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            })
-        } else {
-            let mut out = Vec::with_capacity(involved);
-            for (s, chunk) in chunks.into_iter().enumerate() {
-                let work = &per_shard[s];
-                if work.is_empty() {
-                    continue;
-                }
-                let (nodes, cores, clocks, running) = chunk;
-                out.push(run_shard_steps(
-                    work,
-                    cap,
-                    bases[s],
-                    nodes,
-                    cores,
-                    clocks,
-                    running,
-                    shared,
-                    pages,
-                    config,
-                    programs,
-                    coalesce,
-                    &shard_tracers[s],
-                    shard_bufs.get(s),
-                    want_log,
-                    spec,
-                ));
-            }
-            out
-        };
-
-        let mut total = 0u64;
-        let mut chain_max = 0u64;
-        let mut all_logs: Vec<StepLogEntry> = Vec::new();
-        let mut all_blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)> = Vec::new();
-        for r in results {
-            total += r.executed;
-            chain_max = chain_max.max(r.chain_max);
-            all_logs.extend(r.log);
-            all_blocks.extend(r.blocks);
-        }
-        self.steps += total;
-        self.sharded_local_steps += total;
-        self.shard_rounds += 1;
-        self.shard_round_max = self.shard_round_max.max(total);
-        self.shard_chain_max = self.shard_chain_max.max(chain_max);
-        // Run-ahead output is not final until the key frontier passes it
-        // (a later round can execute smaller keys on other CPUs): merge the
-        // round into the pending buffers, kept key-sorted. Stable sorts:
-        // equal keys are one CPU's zero-cycle chain, already in execution
-        // order within its shard's contribution and across rounds.
-        if want_log {
-            self.pending_log.extend(all_logs);
-            self.pending_log.sort_by_key(|e| (e.clock, e.cpu));
-        }
-        if buffering {
-            self.pending_blocks.extend(all_blocks);
-            self.pending_blocks.sort_by_key(|b| (b.0, b.1));
-        }
-        total
-    }
-
     /// Runs until every CPU halts.
     ///
     /// # Panics
@@ -2409,12 +996,6 @@ impl System {
     /// Panics if more than `max_steps` instructions execute system-wide
     /// (guards against livelock in tests).
     pub fn run_until_halt(&mut self, max_steps: u64) {
-        if self.sharded_active() {
-            if self.run_sharded_upto(max_steps, None) >= max_steps {
-                panic!("system did not halt within {max_steps} steps");
-            }
-            return;
-        }
         for _ in 0..max_steps {
             if self.step_one().is_none() {
                 return;
@@ -2427,9 +1008,6 @@ impl System {
     /// [`step_upto`](Self::step_upto)), returning how many executed —
     /// 0 means every CPU has halted.
     pub fn step_many(&mut self, limit: u64) -> u64 {
-        if self.sharded_active() {
-            return self.run_sharded_upto(limit, None);
-        }
         let before = self.steps;
         if self.step_upto(limit).is_none() {
             return 0;
@@ -2439,10 +1017,6 @@ impl System {
 
     /// Runs until every running CPU's clock reaches `horizon` (or all halt).
     pub fn run_for_cycles(&mut self, horizon: u64) {
-        if self.sharded_active() {
-            self.run_sharded_upto(u64::MAX, Some(horizon));
-            return;
-        }
         loop {
             match self.peek_next_clock() {
                 Some(t) if t < horizon => {
@@ -2503,659 +1077,23 @@ impl System {
             xi_counts: self.fabric.xi_counts(),
             coalesced_accesses: self.nodes.iter().map(|n| n.coalesced).sum(),
             stm,
-            sharding: self.sharding_stats(),
-        }
-    }
-
-    /// Sharded-driver schedule statistics, including the end-of-run
-    /// adaptive-window summary (all-zero window fields when adaptation
-    /// never engaged).
-    fn sharding_stats(&self) -> crate::report::ShardingStats {
-        let mut s = crate::report::ShardingStats {
-            rounds: self.shard_rounds,
-            local_steps: self.sharded_local_steps,
-            round_steps_max: self.shard_round_max,
-            chain_max: self.shard_chain_max,
-            rollbacks: self.shard_rollbacks,
-            replayed: self.shard_replayed,
-            rollbacks_tx: self.shard_rb_tx,
-            rollbacks_fabric: self.shard_rb_fabric,
-            rollbacks_quiesce: self.shard_rb_quiesce,
-            ..Default::default()
-        };
-        if self.adapt_active && !self.adapt_win.is_empty() {
-            let mut min = u64::MAX;
-            for i in 0..self.adapt_win.len() {
-                let w = self.eff_win(i);
-                min = min.min(w);
-                s.window_max = s.window_max.max(w);
-                s.window_sum += w;
-                if self.adapt_touch[i] >= ADAPT_CLAMP_AT {
-                    s.window_clamped += 1;
-                }
-            }
-            s.window_min = min;
-            s.window_cpus = self.adapt_win.len() as u64;
-        }
-        s
-    }
-}
-
-/// Which other CPUs' speculative epochs a global step can observe or
-/// invalidate. Over-approximating is always safe — it only forces an
-/// unnecessary finalize-or-rollback; *under*-approximating would let a
-/// global step's effects interleave wrongly with speculation, so every
-/// unrecognized case in [`System::global_touch`] resolves to [`All`].
-///
-/// [`All`]: GlobalTouch::All
-enum GlobalTouch {
-    /// Only the stepping CPU's own node plus resources no speculating CPU
-    /// can reach (exclusively-held lines, the coordinator's arena index):
-    /// nothing to resolve.
-    Confined,
-    /// A bounded set: XI receivers and L3-eviction candidates of a fabric
-    /// fetch, or holders of the lines a TDB store spans.
-    Cpus(Vec<usize>),
-    /// Potentially any CPU: OS interruptions, page-ins, quiesce, timers.
-    All,
-}
-
-/// Why a resolution rolled an epoch back — the feedback signal the
-/// adaptive windows consume and the breakdown
-/// [`ShardingStats`](crate::ShardingStats) reports. Classified from the
-/// *global step* that forced the cut, not from the victim.
-#[derive(Debug, Clone, Copy)]
-enum RollbackCause {
-    /// Transaction-side serialization: abort processing and the TDB
-    /// stores it performs, or a restricted instruction inside a
-    /// transaction.
-    Tx,
-    /// A fabric-touching data access: the victim held (or could victimize
-    /// lines for) an address the coordinator's step reached.
-    Fabric,
-    /// Everything that resolves *everyone*: timer ticks, quiesce and
-    /// broadcast-stop escalations, OS interruptions, page-ins, debug
-    /// modes — plus step-budget frontier resolutions.
-    Quiesce,
-}
-
-/// One admitted round entry: CPU `cpu`'s step at `clock`, plus the key
-/// `bound` below which the shard may keep running this CPU's own
-/// provably-local steps (run-ahead) before the coordinator re-plans.
-///
-/// Keys strictly below `safe` — the smallest earliest-possible-global key
-/// of any *other* CPU at planning time — are provably final (no future
-/// global step can cut below them) and execute without journaling. At
-/// `safe` the chain arms a speculative epoch and journals the rest of the
-/// way to `bound`. Conservative rounds set `safe == bound`, so they never
-/// open an epoch.
-#[derive(Debug, Clone, Copy)]
-struct ShardStep {
-    cpu: usize,
-    clock: u64,
-    bound: (u64, usize),
-    safe: (u64, usize),
-}
-
-/// Per-chain run-ahead ceiling: bounds a lone unconstrained CPU's chain so
-/// event replay and halt/limit checks still happen at a reasonable cadence.
-const RUN_AHEAD_CAP: u64 = 64;
-
-/// What one shard's slice of a round reports back to the coordinator.
-struct ShardRunResult {
-    executed: u64,
-    log: Vec<StepLogEntry>,
-    /// One `(clock, cpu, events)` block per step that emitted anything —
-    /// the coordinator merges blocks of all shards by `(clock, cpu)`, the
-    /// round's serial execution order.
-    blocks: Vec<(u64, u16, Vec<SeqTracedEvent>)>,
-    /// Longest run-ahead chain in this slice, in steps.
-    chain_max: u64,
-}
-
-/// Executes one shard's slice of a round: provably node-local steps over
-/// the shard's own nodes and cores plus the shared committed-memory window.
-/// After each admitted step the shard re-classifies the *same CPU's* next
-/// step — classification reads only the CPU's own node plus read-only
-/// shared structures, all of which the shard holds — and chains it into
-/// the round while it stays local, its key stays strictly below the round
-/// bound, and the chain stays within `cap` steps. Runs either inline on
-/// the coordinator or on a scoped host thread — same code, same results.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_steps(
-    work: &[ShardStep],
-    cap: u64,
-    base: usize,
-    nodes: &mut [Node],
-    cores: &mut [CpuCore],
-    hot_clock: &mut [u64],
-    hot_running: &mut [bool],
-    shared: SharedMem,
-    pages: &PageTable,
-    config: &SystemConfig,
-    programs: &[Option<Arc<Program>>],
-    coalesce: bool,
-    tracer: &Tracer,
-    buf: Option<&Arc<Mutex<EventBuffer>>>,
-    want_log: bool,
-    spec: bool,
-) -> ShardRunResult {
-    let mut res = ShardRunResult {
-        executed: 0,
-        log: Vec::new(),
-        blocks: Vec::new(),
-        chain_max: 0,
-    };
-    for &ShardStep {
-        cpu,
-        clock,
-        bound,
-        safe,
-    } in work
-    {
-        let at = cpu - base;
-        debug_assert_eq!(hot_clock[at], clock, "stale round plan");
-        debug_assert!(
-            spec || nodes[at].spec.is_none(),
-            "undo journal armed outside a speculative round"
-        );
-        let prog = programs[cpu].as_ref().expect("program loaded");
-        let mut clock = clock;
-        let mut budget = cap;
-        let mut chain = 0u64;
-        loop {
-            // Keys below `safe` are provably final and run journal-free;
-            // the first key at or past it arms a speculative epoch (one
-            // may already be open from an earlier round of the same call —
-            // then every step journals, wherever it lies: an epoch's
-            // replay must cover the full suffix from its snapshot).
-            if (clock, cpu) >= safe && nodes[at].spec.is_none() {
-                debug_assert!(spec, "speculative key admitted to a conservative round");
-                arm_epoch(&mut nodes[at], &cores[at]);
-            }
-            tracer.set_clock(clock);
-            let mut view = View {
-                cpu,
-                base,
-                now: clock,
-                tracer,
-                nodes: &mut *nodes,
-                fabric: None,
-                mem: MemPort::Shared(shared),
-                pages: PagePort::Check(pages),
-                fabric_busy: None,
-                config,
-                coalesce,
-                hit_slot: None,
-            };
-            let out = ztm_isa::step(&mut cores[at], prog, &mut view);
-            debug_assert!(
-                !out.broadcast_stop && out.event != StepEvent::Stalled,
-                "a shard-local step can neither stall nor quiesce"
-            );
-            hot_clock[at] = cores[at].clock;
-            hot_running[at] = cores[at].is_running();
-            res.executed += 1;
-            chain += 1;
-            if let Some(ep) = nodes[at].spec.as_deref_mut() {
-                ep.keys.push(clock);
-            }
-            if want_log {
-                res.log.push(StepLogEntry {
-                    clock,
-                    cpu,
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if let Some(b) = buf {
-                let events = b.lock().expect("event buffer poisoned").drain();
-                if !events.is_empty() {
-                    res.blocks.push((clock, cpu as u16, events));
-                }
-            }
-            budget -= 1;
-            let next_clock = cores[at].clock;
-            if budget == 0 || !hot_running[at] || (next_clock, cpu) >= bound {
-                break;
-            }
-            // Run ahead: chain this CPU's own next step into the round if
-            // it provably stays node-local.
-            let c = classify_step_at(
-                cpu,
-                next_clock,
-                &nodes[at],
-                &cores[at],
-                prog,
-                pages,
-                SlotView::Shared(shared),
-                config,
-                coalesce,
-            );
-            if c.global {
-                break;
-            }
-            clock = next_clock;
-        }
-        res.chain_max = res.chain_max.max(chain);
-    }
-    res
-}
-
-/// Read-only committed-arena slot lookup for the classifier: the
-/// coordinator classifies against exclusive memory, a run-ahead shard
-/// against its shared window — same answers either way.
-#[derive(Clone, Copy)]
-enum SlotView<'a> {
-    Main(&'a MainMemory),
-    Shared(SharedMem),
-}
-
-impl SlotView<'_> {
-    fn has_slot(&self, line: LineAddr) -> bool {
-        match self {
-            SlotView::Main(m) => m.line_slot(line).is_some(),
-            SlotView::Shared(s) => s.line_slot(line).is_some(),
-        }
-    }
-}
-
-/// Classifies one CPU's next instruction step without executing it.
-///
-/// A step is *local* when it provably touches only the CPU's own node
-/// (core, private caches, engine, RNG stream) plus committed-arena
-/// bytes of lines its cache already holds with sufficient MESI
-/// permission — no fabric traffic, no XIs, no page-table mutation, no
-/// abort processing, no arena allocation. Everything else is *global*
-/// and executes serially under the coordinator.
-///
-/// Every input is either the CPU's own node state or a structure no
-/// shard-local step mutates (the page table, the arena slot index, the
-/// config), so shards can re-classify their own CPUs mid-round for
-/// run-ahead and reach the same verdicts the coordinator would.
-///
-/// Conservative by design: classifying local as global only costs
-/// parallelism, never correctness, and the shared-mode ports panic on
-/// any admitted step that actually reaches a serialized resource.
-#[allow(clippy::too_many_arguments)]
-fn classify_step_at(
-    cpu: usize,
-    clock: u64,
-    node: &Node,
-    core: &CpuCore,
-    prog: &Program,
-    pages: &PageTable,
-    slots: SlotView<'_>,
-    config: &SystemConfig,
-    coalesce: bool,
-) -> Candidate {
-    let global = Candidate {
-        cpu,
-        clock,
-        global: true,
-        zero: false,
-    };
-    let local = |zero: bool| Candidate {
-        cpu,
-        clock,
-        global: false,
-        zero,
-    };
-    // Anything that can interrupt, abort, or fire PER events must be
-    // serialized: a due timer tick raises an async interruption, a
-    // pending abort runs millicode abort processing (TDB stores,
-    // possible broadcast-stop), PER tracing fires on every predicate,
-    // and an armed transaction-diagnostic control can force aborts
-    // from `check_instruction`.
-    if let Some(t) = config.timer_interval {
-        if clock - node.last_timer >= t {
-            return global;
-        }
-    }
-    if node.engine.pending_abort().is_some() || core.per.enabled || node.engine.tdc_active() {
-        return global;
-    }
-    let in_tx = node.engine.in_tx();
-    // Constrained transactions track their footprint against the §II.D
-    // constraints and can raise violations mid-step.
-    if in_tx && node.engine.constrained() {
-        return global;
-    }
-    let d = prog.decoded(core.pc);
-    // The instruction fetch: the i-cache walk is entirely node-local
-    // (instruction lines sit outside the coherence protocol), so only
-    // a non-resident text page — an OS page-in — can leave the node.
-    if pages.check(Address::new(d.addr)).is_err() {
-        return global;
-    }
-    // Transactionally illegal instruction classes abort in
-    // `check_instruction`.
-    if in_tx
-        && matches!(
-            d.class,
-            InstrClass::RestrictedInTx | InstrClass::ArModifying | InstrClass::FprModifying
-        )
-    {
-        return global;
-    }
-    let data = |want_excl: bool, class: AccessClass| {
-        classify_data_at(
-            cpu, clock, node, core, d, want_excl, class, pages, slots, config, coalesce,
-        )
-    };
-    match d.op {
-        // Pure register, branch, and timing ops never leave the core.
-        Op::Lghi
-        | Op::Lgr
-        | Op::La
-        | Op::Agr
-        | Op::Sgr
-        | Op::Aghi
-        | Op::Ngr
-        | Op::Xgr
-        | Op::Msgr
-        | Op::Sllg
-        | Op::Srlg
-        | Op::Ltgr
-        | Op::Cgr
-        | Op::Cghi
-        | Op::Brc
-        | Op::Cgij
-        | Op::Brctg
-        | Op::Br
-        | Op::Etnd
-        | Op::Ppa
-        | Op::Rdclk
-        | Op::Sar
-        | Op::Ear
-        | Op::Adbr
-        | Op::Decimal
-        | Op::Privileged
-        | Op::Nop
-        | Op::Delay
-        | Op::Halt => local(false),
-        // Zero-cycle retires: the CPU's *next* step shares this clock,
-        // which tightens the safe-set bound (see `Candidate`).
-        Op::RandMod | Op::StmNote => local(true),
-        // Division by zero raises a program exception.
-        Op::Dsgr => {
-            if core.grs[d.r2 as usize] == 0 {
-                global
-            } else {
-                local(false)
-            }
-        }
-        Op::Lg => data(d.flags & FLAG_FOR_UPDATE != 0, AccessClass::Fetch),
-        Op::Ltg | Op::Cg => data(false, AccessClass::Fetch),
-        Op::Stg | Op::Stckf => data(true, AccessClass::Store),
-        Op::Ntstg => {
-            // Misalignment is a specification exception.
-            if !effective_address_decoded(core, d).is_aligned(8) {
-                return global;
-            }
-            data(true, AccessClass::Store)
-        }
-        Op::Csg => data(true, AccessClass::Store),
-        // An outermost TBEGIN cannot fail here (constrained mode and
-        // the diagnostic control are pre-checked above, and its RNG
-        // draw comes from the node's own stream); a nested begin can
-        // overflow the depth limit and abort.
-        Op::Tbegin => {
-            if in_tx {
-                global
-            } else {
-                local(false)
-            }
-        }
-        Op::Tbeginc => global,
-        Op::Tend => classify_tend_at(cpu, clock, node, slots),
-        Op::Tabort => global,
-    }
-}
-
-/// Classifies the single data access of a load/store-class instruction:
-/// local iff the line window would serve it or the full directory walk
-/// provably ends in an L1/L2 hit with sufficient ownership (an L2 hit
-/// only re-installs into the L1 — nothing leaves the node), the page
-/// is resident, any speculative-prefetch dice roll provably misses,
-/// and a write-through store has a committed-arena slot to land in.
-#[allow(clippy::too_many_arguments)]
-fn classify_data_at(
-    cpu: usize,
-    clock: u64,
-    node: &Node,
-    core: &CpuCore,
-    d: &DecodedInstr,
-    want_excl: bool,
-    class: AccessClass,
-    pages: &PageTable,
-    slots: SlotView<'_>,
-    config: &SystemConfig,
-    coalesce: bool,
-) -> Candidate {
-    let global = Candidate {
-        cpu,
-        clock,
-        global: true,
-        zero: false,
-    };
-    let excl = class == AccessClass::Store || want_excl;
-    let ea = effective_address_decoded(core, d);
-    // Line-crossing accesses raise a specification exception.
-    if !ea.fits_in_line(8) {
-        return global;
-    }
-    let line = ea.line();
-    let in_tx = node.engine.in_tx();
-    // Mirror of the `View::prepare` fast path.
-    let window_ok = coalesce
-        && node.last_data.is_some_and(|w| {
-            w.line == line
-                && (w.excl || !excl)
-                && w.gen == node.cache.generation()
-                && w.page_epoch == pages.epoch()
-                && (!in_tx
-                    || node
-                        .cache
-                        .l1_tx_marks(line)
-                        .is_some_and(|(read, dirty)| match class {
-                            AccessClass::Fetch => read,
-                            AccessClass::Store => dirty,
-                        }))
-        });
-    if !window_ok {
-        if pages.check(ea).is_err() {
-            return global; // page fault → OS page-in
-        }
-        if node.cache.probe_local(line, excl).is_none() {
-            return global; // L2 miss or ownership upgrade → fabric fetch
-        }
-    }
-    // A transactional fetch rolls the speculative-prefetch dice; a
-    // firing prefetch reaches the fabric. Peek the roll on a clone of
-    // the node's RNG — the real step replays the identical draw from
-    // the identical stream state, so a miss here is a miss there.
-    if class == AccessClass::Fetch
-        && in_tx
-        && config.speculative_prefetch
-        && config.prefetch_probability > 0.0
-        && !node.engine.speculation_disabled()
-    {
-        let mut dice = node.rng.clone();
-        if dice.gen_bool(config.prefetch_probability) {
-            return global;
-        }
-    }
-    // Non-transactional stores write through to committed memory,
-    // which the shared window can only do into an existing arena slot
-    // (allocating would race the shared index).
-    if class == AccessClass::Store && !in_tx && !slots.has_slot(line) {
-        return global;
-    }
-    Candidate {
-        cpu,
-        clock,
-        global: false,
-        zero: false,
-    }
-}
-
-/// Classifies TEND: engine-only unless it commits the outermost level,
-/// in which case the store-cache drain needs a committed-arena slot for
-/// every transactional store line. (The PER TEND event and the
-/// diagnostic-control forcing are already pre-checked by the caller.)
-fn classify_tend_at(cpu: usize, clock: u64, node: &Node, slots: SlotView<'_>) -> Candidate {
-    let slots_ok = node.engine.depth() != 1
-        || node
-            .cache
-            .store_cache()
-            .tx_lines()
-            .into_iter()
-            .all(|line| slots.has_slot(line));
-    Candidate {
-        cpu,
-        clock,
-        global: !slots_ok,
-        zero: false,
-    }
-}
-
-/// Replays buffered events into the real tracer, restoring each event's
-/// emission clock and CPU attribution.
-fn replay_events(real: &Tracer, events: &[SeqTracedEvent]) {
-    for e in events {
-        real.set_clock(e.clock);
-        real.emit_at(e.cpu, || e.event);
-    }
-}
-
-/// The committed-memory port of a [`View`]: exclusive access for the serial
-/// scheduler and the sharded coordinator's global steps, or a [`SharedMem`]
-/// window for shard-local steps (which may only touch preallocated arena
-/// slots of MESI-exclusive lines — the classifier guarantees it).
-enum MemPort<'a> {
-    Excl(&'a mut MainMemory),
-    Shared(SharedMem),
-}
-
-/// Message for every "a shard-local step needed a global resource" panic:
-/// such a step should never have been admitted into a parallel round.
-const CLASSIFIER_BUG: &str = "shard-local step reached a serialized resource (classifier bug)";
-
-impl MemPort<'_> {
-    fn line_slot(&self, line: LineAddr) -> Option<u32> {
-        match self {
-            MemPort::Excl(m) => m.line_slot(line),
-            MemPort::Shared(s) => s.line_slot(line),
-        }
-    }
-
-    fn load_u64(&self, addr: Address) -> u64 {
-        match self {
-            MemPort::Excl(m) => m.load_u64(addr),
-            MemPort::Shared(s) => s.load_u64(addr),
-        }
-    }
-
-    fn load_u64_at_slot(&self, slot: u32, offset: usize) -> u64 {
-        match self {
-            MemPort::Excl(m) => m.load_u64_at_slot(slot, offset),
-            MemPort::Shared(s) => s.load_u64_at_slot(slot, offset),
-        }
-    }
-
-    fn load_bytes(&self, addr: Address, buf: &mut [u8]) {
-        match self {
-            MemPort::Excl(m) => m.load_bytes(addr, buf),
-            MemPort::Shared(s) => s.load_bytes(addr, buf),
-        }
-    }
-
-    fn store_bytes(&mut self, addr: Address, bytes: &[u8]) {
-        match self {
-            MemPort::Excl(m) => m.store_bytes(addr, bytes),
-            MemPort::Shared(s) => s.store_bytes(addr, bytes),
-        }
-    }
-
-    fn apply_write(&mut self, w: &ztm_cache::DrainWrite) {
-        match self {
-            MemPort::Excl(m) => w.apply_to(m),
-            MemPort::Shared(s) => w.apply_to_shared(s),
-        }
-    }
-
-    /// The exclusive memory, for paths only a serialized step can reach
-    /// (abort cleanup, TDB/diagnostic stores).
-    fn excl(&mut self) -> &mut MainMemory {
-        match self {
-            MemPort::Excl(m) => m,
-            MemPort::Shared(_) => panic!("{CLASSIFIER_BUG}"),
-        }
-    }
-}
-
-/// The page-table port: direct mutable access for serialized steps, or a
-/// check-only shared view for shard-local steps (whose accesses the
-/// classifier has already proven resident — `access` on a resident page is
-/// side-effect-free, so the check-only port is exact).
-enum PagePort<'a> {
-    Direct(&'a mut PageTable),
-    Check(&'a PageTable),
-}
-
-impl PagePort<'_> {
-    fn epoch(&self) -> u64 {
-        match self {
-            PagePort::Direct(p) => p.epoch(),
-            PagePort::Check(p) => p.epoch(),
-        }
-    }
-
-    fn access(&mut self, addr: Address) -> Result<(), ztm_mem::MemFault> {
-        match self {
-            PagePort::Direct(p) => p.access(addr),
-            // `PageTable::access` only differs from `check` on a fault
-            // (it counts the fault); a shard-local step's accesses are
-            // pre-proven resident, so a fault here is a classifier bug —
-            // surfaced by the caller turning it into a page-in, which
-            // panics through `direct()`.
-            PagePort::Check(p) => p.check(addr),
-        }
-    }
-
-    /// The mutable page table, for paths only a serialized step can reach
-    /// (OS page-in, abort cleanup).
-    fn direct(&mut self) -> &mut PageTable {
-        match self {
-            PagePort::Direct(p) => p,
-            PagePort::Check(_) => panic!("{CLASSIFIER_BUG}"),
         }
     }
 }
 
 /// The per-step [`Machine`] view: disjoint borrows of the system's fields
 /// excluding the stepped CPU's core (borrowed by the interpreter).
-///
-/// Serialized steps (the serial scheduler, the sharded coordinator's global
-/// steps) build it with exclusive ports over the whole system and
-/// `base == 0`. Shard-local steps build it over the shard's own node slice
-/// (`base` = first CPU of the shard), a [`SharedMem`] window, a check-only
-/// page table, and *no* fabric — touching a serialized resource from a
-/// parallel round is a classifier bug and panics.
 struct View<'a> {
     cpu: usize,
-    /// First CPU index of the node slice below (0 for serialized steps).
-    base: usize,
     /// The stepped CPU's local clock at instruction start (for fabric
     /// bandwidth queueing).
     now: u64,
     tracer: &'a Tracer,
     nodes: &'a mut [Node],
-    fabric: Option<&'a mut Fabric>,
-    mem: MemPort<'a>,
-    pages: PagePort<'a>,
-    fabric_busy: Option<&'a mut [u64]>,
+    fabric: &'a mut Fabric,
+    mem: &'a mut MainMemory,
+    pages: &'a mut PageTable,
+    fabric_busy: &'a mut [u64],
     config: &'a SystemConfig,
     /// Same-line coalescing switch ([`System::set_coalescing`]).
     coalesce: bool,
@@ -3168,15 +1106,11 @@ struct View<'a> {
 
 impl View<'_> {
     fn me(&mut self) -> &mut Node {
-        &mut self.nodes[self.cpu - self.base]
+        &mut self.nodes[self.cpu]
     }
 
     fn node(&self) -> &Node {
-        &self.nodes[self.cpu - self.base]
-    }
-
-    fn fabric(&mut self) -> &mut Fabric {
-        self.fabric.as_mut().expect(CLASSIFIER_BUG)
+        &self.nodes[self.cpu]
     }
 
     /// Delivers the LRU XIs produced by an L3 associativity overflow: the
@@ -3194,7 +1128,7 @@ impl View<'_> {
                 XiResponse::Accept,
                 "LRU XIs are not rejectable"
             );
-            self.fabric().apply_xi_result(cpu, vline, XiKind::Lru, true);
+            self.fabric.apply_xi_result(cpu, vline, XiKind::Lru, true);
             for ev in out.events {
                 self.nodes[cpu.0].engine.note_footprint_event(ev);
             }
@@ -3214,8 +1148,7 @@ impl View<'_> {
                 from: Some(CpuId(self.cpu)),
             });
             let accepted = out.response == XiResponse::Accept;
-            self.fabric()
-                .apply_xi_result(target, line, xikind, accepted);
+            self.fabric.apply_xi_result(target, line, xikind, accepted);
             for ev in out.events {
                 self.nodes[target.0].engine.note_footprint_event(ev);
             }
@@ -3229,9 +1162,9 @@ impl View<'_> {
     /// Reserves a slot on this CPU's MCM fabric channel for one line
     /// transfer and returns the queueing delay incurred.
     fn occupy_fabric(&mut self) -> u64 {
-        let fabric = self.fabric.as_deref().expect(CLASSIFIER_BUG);
-        let busy = self.fabric_busy.as_deref_mut().expect(CLASSIFIER_BUG);
-        let mcm = fabric
+        let busy = &mut *self.fabric_busy;
+        let mcm = self
+            .fabric
             .topology()
             .mcm_of(CpuId(self.cpu))
             .0
@@ -3259,18 +1192,16 @@ impl View<'_> {
             FetchKind::Shared
         };
         let who = CpuId(self.cpu);
-        let plan = self.fabric().plan_fetch(who, line, kind);
+        let plan = self.fabric.plan_fetch(who, line, kind);
         if !self.deliver_plan_xis(line, plan.xis) {
             return Err(self.config.latency.xi_reject_retry);
         }
-        let lru = self.fabric().grant(who, line, kind);
+        let lru = self.fabric.grant(who, line, kind);
         self.deliver_lru_xis(lru);
-        let base = {
-            let fabric = self.fabric.as_deref().expect(CLASSIFIER_BUG);
-            self.config
-                .latency
-                .fetch(fabric.topology(), who, plan.source)
-        };
+        let base = self
+            .config
+            .latency
+            .fetch(self.fabric.topology(), who, plan.source);
         let cycles = base + self.occupy_fabric();
         let state = if excl {
             CohState::Exclusive
@@ -3279,7 +1210,7 @@ impl View<'_> {
         };
         let inst = self.me().cache.install(line, state, class, tx);
         for l in inst.lost_lines {
-            self.fabric().drop_holder(who, l);
+            self.fabric.drop_holder(who, l);
         }
         for ev in inst.events {
             self.me().engine.note_footprint_event(ev);
@@ -3300,11 +1231,11 @@ impl View<'_> {
             self.me().rng.gen_bool(p)
         };
         let who = CpuId(self.cpu);
-        let plan = self.fabric().plan_fetch(who, next, FetchKind::Shared);
+        let plan = self.fabric.plan_fetch(who, next, FetchKind::Shared);
         if !self.deliver_plan_xis(next, plan.xis) {
             return;
         }
-        let lru = self.fabric().grant(who, next, FetchKind::Shared);
+        let lru = self.fabric.grant(who, next, FetchKind::Shared);
         self.deliver_lru_xis(lru);
         self.occupy_fabric(); // speculative transfers consume bandwidth too
         let inst = self
@@ -3312,7 +1243,7 @@ impl View<'_> {
             .cache
             .install(next, CohState::ReadOnly, AccessClass::Fetch, overmark);
         for l in inst.lost_lines {
-            self.fabric().drop_holder(who, l);
+            self.fabric.drop_holder(who, l);
         }
         for ev in inst.events {
             self.me().engine.note_footprint_event(ev);
@@ -3363,9 +1294,8 @@ impl View<'_> {
         // per-step. A window can only exist while coalescing is enabled
         // (arming is gated and `set_coalescing(false)` clears them), so the
         // window presence check doubles as the switch check.
-        let at = self.cpu - self.base;
-        if let Some(w) = self.nodes[at].last_data {
-            let node = &mut self.nodes[at];
+        if let Some(w) = self.nodes[self.cpu].last_data {
+            let node = &mut self.nodes[self.cpu];
             let tx = node.engine.in_tx();
             let valid = w.line == line
                 && (w.excl || !excl)
@@ -3386,7 +1316,7 @@ impl View<'_> {
                     Some(resolved) => resolved,
                     None => {
                         let resolved = self.mem.line_slot(line);
-                        if let Some(win) = self.nodes[at].last_data.as_mut() {
+                        if let Some(win) = self.me().last_data.as_mut() {
                             win.slot = Some(resolved);
                         }
                         resolved
@@ -3441,11 +1371,10 @@ impl View<'_> {
             }
             LocalHit::L2 => {
                 // An L2 hit re-installs into the L1 only, which drops no L2
-                // lines — `lost_lines` is empty here (the fabric unwrap is
-                // the backstop proving it, shard-local steps included).
+                // lines — `lost_lines` is empty here.
                 let who = CpuId(self.cpu);
                 for l in out.lost_lines {
-                    self.fabric().drop_holder(who, l);
+                    self.fabric.drop_holder(who, l);
                 }
                 for ev in out.events {
                     self.me().engine.note_footprint_event(ev);
@@ -3545,20 +1474,6 @@ impl View<'_> {
                 });
         }
         if !tx {
-            // Under an open speculative epoch, capture the committed-arena
-            // pre-image before the write-through: a rollback restores the
-            // journal newest-first. (Only this CPU can reach these bytes —
-            // the classifier proved exclusive ownership — so the pre-image
-            // is stable until this epoch resolves.)
-            let at = self.cpu - self.base;
-            if self.nodes[at].spec.is_some() {
-                let mut old = [0u8; 8];
-                self.mem.load_bytes(addr, &mut old[..data.len()]);
-                let ep = self.nodes[at].spec.as_deref_mut().expect("checked above");
-                for (i, &b) in old[..data.len()].iter().enumerate() {
-                    ep.mem_journal.push((addr.add(i as u64), b));
-                }
-            }
             self.mem.store_bytes(addr, data);
         }
     }
@@ -3568,7 +1483,7 @@ impl Machine for View<'_> {
     fn ifetch(&mut self, addr: Address) -> AccessResult {
         let line = addr.line();
         let page_epoch = self.pages.epoch();
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         // Same-line fast path: straight-line code fetches the same 256-byte
         // text line many instructions in a row. If nothing installed into
         // this i-cache and no page residency changed since the previous
@@ -3698,32 +1613,8 @@ impl Machine for View<'_> {
             TendOutcome::NotInTx => EndResult::NotInTx,
             TendOutcome::Inner => EndResult::Inner { cycles: 1 },
             TendOutcome::Commit { cycles } => {
-                let writes = node.cache.commit_tx();
-                // Under an open speculative epoch, journal the pre-image of
-                // every byte the drain will overwrite (the drain only
-                // touches exclusively-held lines, so the pre-images are
-                // stable until this epoch resolves).
-                let at = self.cpu - self.base;
-                if self.nodes[at].spec.is_some() {
-                    let mut addrs: Vec<Address> = Vec::new();
-                    for w in &writes {
-                        w.for_each_byte(|a| addrs.push(a));
-                    }
-                    let mut pre = Vec::with_capacity(addrs.len());
-                    for &a in &addrs {
-                        let mut b = [0u8; 1];
-                        self.mem.load_bytes(a, &mut b);
-                        pre.push((a, b[0]));
-                    }
-                    self.nodes[at]
-                        .spec
-                        .as_deref_mut()
-                        .expect("checked above")
-                        .mem_journal
-                        .extend(pre);
-                }
-                for w in writes {
-                    self.mem.apply_write(&w);
+                for w in node.cache.commit_tx() {
+                    w.apply_to(self.mem);
                 }
                 EndResult::Commit { cycles }
             }
@@ -3772,21 +1663,12 @@ impl Machine for View<'_> {
             .expect("take_abort without pending abort");
         let ntstg_writes = self.me().cache.abort_tx();
         for w in ntstg_writes {
-            self.mem.apply_write(&w);
+            w.apply_to(self.mem);
         }
-        // Aborts store the TDB and may page — serialized-only resources;
-        // the classifier never admits a step that can abort into a
-        // parallel round.
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         let out = node.engine.process_abort(cause, grs, atia, &mut node.rng);
         let prefix_area = node.prefix_area;
-        finish_abort(
-            out,
-            self.mem.excl(),
-            self.pages.direct(),
-            &self.config.os,
-            prefix_area,
-        )
+        finish_abort(out, self.mem, self.pages, &self.config.os, prefix_area)
     }
 
     fn report_exception(
@@ -3802,7 +1684,7 @@ impl Machine for View<'_> {
         }
         match self.config.os.disposition(pe) {
             ztm_isa::OsDisposition::PageIn(page) => {
-                self.pages.direct().page_in(page);
+                self.pages.page_in(page);
                 ExceptionDisposition::Retry {
                     cycles: self.config.os.page_in_cost,
                 }
@@ -3823,7 +1705,7 @@ impl Machine for View<'_> {
     fn stm_note(&mut self, kind: u8, value: u64) {
         use ztm_isa::stm_note as k;
         let cpu = self.cpu as u16;
-        let node = &mut self.nodes[self.cpu - self.base];
+        let node = &mut self.nodes[self.cpu];
         let ev = match kind {
             k::BEGIN => {
                 node.stm.begins += 1;
@@ -3912,6 +1794,16 @@ mod tests {
         assert!(System::pack_entry(5, 3) < System::pack_entry(5, 4));
     }
 
+    /// `ZTM_ISSUE_WIDTH=` (empty) reads as unset, as `ztm_bench` reads it,
+    /// instead of failing every `System::new`.
+    #[test]
+    fn issue_width_maps_values_through_the_shared_parser() {
+        let width = |v: &str| issue_width(crate::parse_usize("ZTM_ISSUE_WIDTH", v));
+        assert_eq!(width(""), None);
+        assert_eq!(width("1"), None);
+        assert_eq!(width("3"), Some(3));
+    }
+
     #[test]
     #[should_panic(expected = "48-bit heap key range")]
     fn pack_entry_rejects_an_overflowing_clock() {
@@ -3939,86 +1831,6 @@ mod tests {
         a.ppa(R0);
         a.j("loop");
         a.assemble().unwrap()
-    }
-
-    /// The admission-window controller in isolation: multiplicative
-    /// shrink to the floor, additive regrowth to the structural bound,
-    /// clamp under sustained naming pressure, and sweep-decay release.
-    #[test]
-    fn adaptive_window_controller_transitions() {
-        let mut sys = System::new(SystemConfig::with_cpus(2));
-        sys.adapt_active = true;
-        sys.adapt_max = 350;
-        sys.adapt_win = vec![350; 2];
-        sys.adapt_touch = vec![0; 2];
-        // Runs enough ticks for exactly one decay/regrow sweep.
-        fn sweep(sys: &mut System) {
-            for _ in 0..ADAPT_SWEEP {
-                sys.adapt_tick();
-            }
-        }
-
-        // Multiplicative shrink halves per rollback, down to the floor
-        // where rollbacks stop cutting real prefixes — never below.
-        sys.adapt_shrink(0);
-        assert_eq!(sys.eff_win(0), 350 / ADAPT_SHRINK_DIV);
-        for _ in 0..10 {
-            sys.adapt_shrink(0);
-        }
-        assert_eq!(sys.eff_win(0), ADAPT_FLOOR);
-        assert_eq!(sys.eff_win(1), 350, "windows are per-CPU");
-
-        // Additive growth per finalized-clean epoch, capped at the
-        // structural latency bound.
-        sys.adapt_grow(0);
-        assert_eq!(sys.eff_win(0), ADAPT_FLOOR + ADAPT_GROW);
-        for _ in 0..1000 {
-            sys.adapt_grow(0);
-        }
-        assert_eq!(sys.eff_win(0), 350);
-
-        // Sustained naming pressure clamps the CPU to the conservative
-        // 1-cycle window without disturbing its stored width…
-        for _ in 0..ADAPT_CLAMP_AT {
-            sys.adapt_name(0);
-        }
-        assert_eq!(sys.eff_win(0), 1, "clamped CPU admits conservatively");
-        assert_eq!(sys.adapt_win[0], 350, "the stored width survives a clamp");
-        assert_eq!(sys.eff_win(1), 350, "the clamp is per-CPU");
-        // …and the score saturates, so a clamp cannot outlive its cause
-        // by more than a few sweeps.
-        for _ in 0..10_000 {
-            sys.adapt_name(0);
-        }
-        assert_eq!(sys.adapt_touch[0], ADAPT_SCORE_MAX);
-
-        // Pressure halves per quiet sweep: the clamp holds while the
-        // score sits at or above the threshold and releases as soon as
-        // it decays below, restoring the full stored width at once.
-        let mut sweeps = 0;
-        while sys.adapt_touch[0] >= ADAPT_CLAMP_AT {
-            assert_eq!(sys.eff_win(0), 1, "clamped at or above the threshold");
-            sweep(&mut sys);
-            sweeps += 1;
-        }
-        assert!(
-            (1..=8).contains(&sweeps),
-            "a clamp releases within a few quiet sweeps, not {sweeps}"
-        );
-        assert_eq!(sys.eff_win(0), 350, "release restores the stored width");
-
-        // The sweep probe regrows an unclamped CPU one cycle at a time,
-        // independent of whether it managed to finalize any epochs.
-        sys.adapt_win[1] = ADAPT_FLOOR;
-        sweep(&mut sys);
-        assert_eq!(sys.eff_win(1), ADAPT_FLOOR + 1);
-
-        // With adaptation off (fixed-window regime) the controller is
-        // inert: rollbacks and finalizes leave the widths alone.
-        sys.adapt_active = false;
-        sys.adapt_shrink(1);
-        sys.adapt_grow(0);
-        assert_eq!(sys.adapt_win, vec![350, ADAPT_FLOOR + 1]);
     }
 
     #[test]

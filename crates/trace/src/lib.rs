@@ -22,6 +22,8 @@
 //!   tx-dirty lines are never observed by another CPU pre-commit, inclusive
 //!   hierarchy containment, and constrained-retry ladder monotonicity.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -638,7 +640,7 @@ pub struct Tracer {
 }
 
 /// The attached consumer: either a shared dynamic [`TraceSink`] (recorder,
-/// per-shard event buffers, test sinks) or the allocation-free digest-only
+/// test sinks) or the allocation-free digest-only
 /// fold. Dispatching on the variant in [`Tracer::emit`] keeps the
 /// digest-only path free of the lock and virtual call the general sink
 /// needs.
@@ -654,10 +656,10 @@ enum Sink {
 /// reports (both fold through the same byte stream);
 /// [`events`](DigestSink::events) counts how many events were digested.
 ///
-/// The state lives in relaxed atomics only so the handle is `Sync`; the
-/// simulator feeds any single sink from one thread at a time (sharded runs
-/// buffer per shard and replay through the sink on the coordinator), so the
-/// non-atomic read-modify-write of `fold` never races.
+/// The state lives in relaxed atomics only so the handle is `Sync` (a
+/// system holding tracer clones stays `Send`); the simulator feeds any
+/// single sink from one thread at a time, so the non-atomic
+/// read-modify-write of `fold` never races.
 #[derive(Debug)]
 pub struct DigestSink {
     state: AtomicU64,
@@ -756,24 +758,6 @@ impl Tracer {
         )
     }
 
-    /// A tracer feeding a fresh [`EventBuffer`] that stamps every event with
-    /// a ticket drawn from `seq`; returns both. Sharded simulation gives
-    /// each shard (and the coordinator) one of these sharing a single
-    /// ticket counter, then merges the buffers deterministically and
-    /// replays them into the real sink.
-    pub fn buffering(seq: Arc<AtomicU64>) -> (Tracer, Arc<Mutex<EventBuffer>>) {
-        let buffer = Arc::new(Mutex::new(EventBuffer::new(seq)));
-        let sink: Arc<Mutex<dyn TraceSink + Send>> = buffer.clone();
-        (
-            Tracer {
-                sink: Some(Sink::Shared(sink)),
-                clock: Arc::new(AtomicU64::new(0)),
-                cpu: 0,
-            },
-            buffer,
-        )
-    }
-
     /// Whether a sink is attached.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
@@ -826,66 +810,6 @@ impl Tracer {
             }
             Some(Sink::Digest(sink)) => sink.fold(self.clock(), cpu, &f()),
         }
-    }
-}
-
-/// A [`TracedEvent`] stamped with a global emission ticket, as captured by
-/// an [`EventBuffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqTracedEvent {
-    /// Ticket drawn from the shared emission counter at record time. Within
-    /// one serialized step the tickets reconstruct exact emission order even
-    /// when the step's events landed in several buffers (requester vs XI
-    /// targets).
-    pub seq: u64,
-    /// Simulated cycle at emission.
-    pub clock: u64,
-    /// Emitting (or attributed) CPU.
-    pub cpu: u16,
-    /// The event payload.
-    pub event: Event,
-}
-
-/// A buffering [`TraceSink`] for sharded simulation: events are appended in
-/// arrival order and stamped with tickets from a counter shared across all
-/// buffers of one run, so the coordinator can merge multiple buffers back
-/// into the exact serial emission order before replaying them into the real
-/// sink.
-#[derive(Debug)]
-pub struct EventBuffer {
-    seq: Arc<AtomicU64>,
-    events: Vec<SeqTracedEvent>,
-}
-
-impl EventBuffer {
-    /// An empty buffer drawing tickets from `seq`.
-    pub fn new(seq: Arc<AtomicU64>) -> EventBuffer {
-        EventBuffer {
-            seq,
-            events: Vec::new(),
-        }
-    }
-
-    /// Takes every buffered event out, leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<SeqTracedEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Whether nothing is currently buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for EventBuffer {
-    fn record(&mut self, clock: u64, cpu: u16, event: Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.events.push(SeqTracedEvent {
-            seq,
-            clock,
-            cpu,
-            event,
-        });
     }
 }
 

@@ -16,6 +16,8 @@
 //! * [`harness`] — measurement conventions (per-op timing with RDCLK,
 //!   throughput = CPUs / avg-time-per-update, normalization).
 
+#![forbid(unsafe_code)]
+
 pub mod bank;
 pub mod dlist;
 pub mod harness;

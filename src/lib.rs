@@ -32,6 +32,8 @@
 //! assert!(report.committed_ops() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ztm_cache as cache;
 pub use ztm_core as core;
 pub use ztm_isa as isa;

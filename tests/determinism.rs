@@ -1,14 +1,15 @@
 //! Cycle-for-cycle determinism regressions for the event-heap scheduler.
 //!
-//! The two digests below are the ones committed in `results/BENCH_*.json`
+//! The first two digests below are the ones committed in `results/BENCH_*.json`
 //! when the simulator still used the per-step linear scan over all cores.
 //! The heap-based scheduler (and every bookkeeping optimization since) must
 //! reproduce them bit-for-bit: any scheduling or coherence divergence —
 //! a different CPU picked on a clock tie, a stale heap entry acted on, a
 //! missed quiesce clock bump — lands here before it lands in a figure.
 
-use ztm::sim::{System, SystemConfig};
+use ztm::sim::{StepLogEntry, System, SystemConfig};
 use ztm::trace::{Recorder, Tracer};
+use ztm::workloads::bank::{Bank, BankMethod};
 use ztm::workloads::hashtable::{HashTable, TableMethod};
 use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 
@@ -94,63 +95,69 @@ fn quiesce_under_heap_scheduling_is_exercised_and_deterministic() {
     assert_eq!(a, run());
 }
 
-/// Sharded execution (`ZTM_SIM_THREADS` > 1) must leave every committed
-/// digest untouched. The single-shard baselines above route through the
-/// serial scheduler even when threads are requested (nothing to shard);
-/// this constant pins a *two-chip* (12-CPU) elided-hashtable run that
-/// exercises the round scheduler for real. Asserted for 1, 2, and 4 host
-/// threads through both the recording and the digest-only sinks.
-const SHARDED_HT12_DIGEST: u64 = 0xc79e7c937476240f;
+/// A two-chip (12-CPU) elided-hashtable run: cross-chip XIs and L3
+/// traffic that the single-chip baselines above never reach. Pinned
+/// through both the recording and the digest-only sinks.
+const TWO_CHIP_HT12_DIGEST: u64 = 0xc79e7c937476240f;
 
 #[test]
-fn sharded_hashtable_digest_matches_the_pinned_baseline() {
-    use ztm::workloads::hashtable::{HashTable, TableMethod};
-    for threads in [1usize, 2, 4] {
-        let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
-        let mut sys = System::new(SystemConfig::with_cpus(12).seed(42));
-        sys.set_sim_threads(threads);
-        let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
-        sys.set_tracer(tracer);
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, 100);
-        assert_eq!(
-            recorder.lock().unwrap().digest(),
-            SHARDED_HT12_DIGEST,
-            "{threads} host threads"
-        );
-    }
-    // The digest-only sink folds the identical byte stream.
-    for threads in [2usize, 4] {
-        let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
-        let mut sys = System::new(SystemConfig::with_cpus(12).seed(42));
-        sys.set_sim_threads(threads);
-        let (tracer, sink) = Tracer::digest_only();
-        sys.set_tracer(tracer);
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, 100);
-        assert_eq!(sink.digest(), SHARDED_HT12_DIGEST, "{threads} host threads");
-    }
-}
-
-/// The committed single-shard baselines must stay pinned even when host
-/// threads are requested: 1 and 6 CPUs are one shard, so the run routes
-/// through the serial scheduler untouched.
-#[test]
-fn committed_digests_hold_when_sim_threads_are_requested() {
-    let wl = PoolWorkload::new(PoolLayout::new(1, 1), SyncMethod::Tbegin, 42);
-    let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
-    sys.set_sim_threads(4);
-    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
-    sys.set_tracer(tracer);
-    wl.run(&mut sys, 400);
-    assert_eq!(recorder.lock().unwrap().digest(), E1_DIGEST);
-
+fn two_chip_hashtable_digest_matches_the_pinned_baseline() {
     let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
-    let mut sys = System::new(SystemConfig::with_cpus(6).seed(42));
-    sys.set_sim_threads(4);
+    let mut sys = System::new(SystemConfig::with_cpus(12).seed(42));
     let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
     sys.set_tracer(tracer);
     t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-    t.run(&mut sys, 150);
-    assert_eq!(recorder.lock().unwrap().digest(), FIG5E_DIGEST);
+    t.run(&mut sys, 100);
+    assert_eq!(recorder.lock().unwrap().digest(), TWO_CHIP_HT12_DIGEST);
+
+    // The digest-only sink folds the identical byte stream.
+    let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
+    let mut sys = System::new(SystemConfig::with_cpus(12).seed(42));
+    let (tracer, sink) = Tracer::digest_only();
+    sys.set_tracer(tracer);
+    t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
+    t.run(&mut sys, 100);
+    assert_eq!(sink.digest(), TWO_CHIP_HT12_DIGEST);
+}
+
+/// Runs the 12-CPU transfer bank with the step log armed, driving the
+/// scheduler through `drive`, and returns the step log plus the report.
+fn bank_run(drive: impl FnOnce(&mut System)) -> (Vec<StepLogEntry>, String) {
+    let bank = Bank::new(64, BankMethod::Tbegin);
+    let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
+    sys.set_step_log(true);
+    sys.load_program_all(&bank.program(25));
+    drive(&mut sys);
+    let report = format!("{:?}", sys.report());
+    (sys.take_step_log(), report)
+}
+
+/// `step_many` budgets cut scheduler batches and superblocks wherever they
+/// land; any chunking must retire the identical step sequence.
+#[test]
+fn step_budget_boundaries_do_not_disturb_the_sequence() {
+    let whole = bank_run(|sys| sys.run_until_halt(10_000_000));
+    assert!(!whole.0.is_empty());
+    for chunk in [1u64, 64, 997] {
+        let chunked = bank_run(|sys| while sys.step_many(chunk) > 0 {});
+        assert_eq!(whole, chunked, "chunk {chunk}");
+    }
+}
+
+/// `run_for_cycles` horizons stop every CPU at exactly the serial rule (no
+/// step whose start clock reaches the horizon executes), wherever the
+/// chunk boundaries land.
+#[test]
+fn cycle_horizons_do_not_disturb_the_sequence() {
+    let whole = bank_run(|sys| sys.run_until_halt(10_000_000));
+    for chunk in [113u64, 1009] {
+        let chunked = bank_run(|sys| {
+            let mut horizon = chunk;
+            while sys.any_running() {
+                sys.run_for_cycles(horizon);
+                horizon += chunk;
+            }
+        });
+        assert_eq!(whole, chunked, "chunk {chunk}");
+    }
 }

@@ -8,8 +8,7 @@
 //! (scheduled CPU, `StepOutcome`, broadcast-stop), on the full
 //! `StepLogEntry` stream, and on the trace digest — including when a
 //! `step_many` budget or a `run_for_cycles` horizon lands in the middle of
-//! a block, and under the sharded driver (`ZTM_SIM_THREADS`), which never
-//! engages the fast path.
+//! a block.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -116,19 +115,26 @@ fn superblock_and_scalar_step_identically() {
 }
 
 /// Unconstrained batching (a huge `step_many` budget, so blocks only break
-/// at real boundaries) produces the identical step log and digest, and the
-/// fast path carries the bulk of a straight-line-heavy single-CPU run.
+/// at real boundaries) produces the identical step log and digest — on one
+/// CPU and across two chips (12 CPUs) — and the fast path carries the bulk
+/// of a straight-line-heavy single-CPU run.
 #[test]
 fn superblock_batches_bulk_of_straight_line_run() {
-    let run = |superblocks: bool| {
-        let (mut sys, rec) = mixed_system(1, superblocks);
+    let run = |cpus: usize, superblocks: bool| {
+        let (mut sys, rec) = mixed_system(cpus, superblocks);
         sys.set_step_log(true);
-        drain(&mut sys, 2_000_000);
+        drain(&mut sys, 5_000_000);
         let digest = rec.lock().unwrap().digest();
         (sys.take_step_log(), digest, sys.superblock_steps())
     };
-    let (fast_log, fast_digest, fast_sb) = run(true);
-    let (slow_log, slow_digest, slow_sb) = run(false);
+    let (wide_log, wide_digest, wide_sb) = run(12, true);
+    let (scalar_log, scalar_digest, _) = run(12, false);
+    assert!(wide_sb > 0);
+    assert_eq!(wide_log, scalar_log);
+    assert_eq!(wide_digest, scalar_digest);
+
+    let (fast_log, fast_digest, fast_sb) = run(1, true);
+    let (slow_log, slow_digest, slow_sb) = run(1, false);
     assert_eq!(fast_log, slow_log);
     assert_eq!(fast_digest, slow_digest);
     assert_eq!(slow_sb, 0);
@@ -219,35 +225,6 @@ fn superblock_and_scalar_agree_on_the_elision_hashtable() {
         (rep.system.steps, digest)
     };
     assert_eq!(run(true), run(false));
-}
-
-/// The sharded driver never engages superblocks, and its output must stay
-/// byte-identical to the serial superblock run: serial + superblocks,
-/// sharded + superblocks, and sharded + scalar all produce the same step
-/// log and digest.
-#[test]
-fn sharded_runs_match_serial_superblock_runs() {
-    let run = |threads: usize, superblocks: bool| {
-        let mut sys = System::new(SystemConfig::with_cpus(12).seed(9));
-        sys.set_sim_threads(threads);
-        sys.set_superblocks(superblocks);
-        let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
-        sys.set_tracer(tracer);
-        sys.load_program_all(&mixed_program());
-        sys.set_step_log(true);
-        drain(&mut sys, 5_000_000);
-        let digest = recorder.lock().unwrap().digest();
-        (sys.take_step_log(), digest, sys.superblock_steps())
-    };
-    let (serial_log, serial_digest, serial_sb) = run(1, true);
-    let (sharded_log, sharded_digest, sharded_sb) = run(2, true);
-    let (scalar_log, scalar_digest, _) = run(2, false);
-    assert!(serial_sb > 0);
-    assert_eq!(sharded_sb, 0, "the sharded driver must not engage blocks");
-    assert_eq!(serial_log, sharded_log);
-    assert_eq!(serial_digest, sharded_digest);
-    assert_eq!(sharded_log, scalar_log);
-    assert_eq!(sharded_digest, scalar_digest);
 }
 
 /// Lowers a random op stream into a halting program: straight-line access
