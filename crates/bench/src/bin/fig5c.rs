@@ -9,7 +9,11 @@
 
 #![forbid(unsafe_code)]
 
-use ztm_bench::{cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep};
+use std::time::Instant;
+use ztm_bench::{
+    bench_tag, cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep,
+    write_bench_json_sweep, SweepTable, Timing,
+};
 use ztm_workloads::pool::SyncMethod;
 
 fn main() {
@@ -28,20 +32,59 @@ fn main() {
             ]
         })
         .collect();
-    let results = sweep(points, |&(m, cpus)| run_pool(m, cpus, 10, 4, 42));
+    let results = sweep(points, |&(m, cpus)| {
+        let t0 = Instant::now();
+        let rep = run_pool(m, cpus, 10, 4, 42);
+        (rep, t0.elapsed())
+    });
+    let mut timing = Timing::default();
+    for (rep, wall) in &results {
+        timing.add_run(*wall, &rep.system);
+    }
+    let mut rows = Vec::new();
     for (i, cpus) in cpu_counts().into_iter().enumerate() {
-        let [lock, tbc, tbn] = &results[3 * i..3 * i + 3] else {
+        let [(lock, _), (tbc, _), (tbn, _)] = &results[3 * i..3 * i + 3] else {
             unreachable!()
         };
-        print_row(
-            cpus,
-            &[
-                lock.normalized_throughput(reference),
-                tbc.normalized_throughput(reference),
-                tbn.normalized_throughput(reference),
-                100.0 * tbc.abort_rate(),
-                100.0 * tbn.abort_rate(),
-            ],
-        );
+        let row = vec![
+            lock.normalized_throughput(reference),
+            tbc.normalized_throughput(reference),
+            tbn.normalized_throughput(reference),
+            100.0 * tbc.abort_rate(),
+            100.0 * tbn.abort_rate(),
+        ];
+        print_row(cpus, &row);
+        rows.push((cpus, row));
+    }
+    // The printed figure, exported verbatim; CI diffs its non-timing
+    // fields against the committed artifact. The headline is the top CPU
+    // count's row (series names stay distinct from headline keys).
+    let top = rows.last().expect("non-empty sweep").clone();
+    let sweep_table = SweepTable {
+        x: "cpus",
+        series: &[
+            "lock",
+            "tbeginc",
+            "tbegin",
+            "abort_pct_tbeginc",
+            "abort_pct_tbegin",
+        ],
+        rows,
+    };
+    println!();
+    match write_bench_json_sweep(
+        &bench_tag("fig5c_pools"),
+        &[
+            ("cpus_max", top.0 as f64),
+            ("lock_top", top.1[0]),
+            ("tbeginc_top", top.1[1]),
+            ("tbegin_top", top.1[2]),
+        ],
+        Some(&sweep_table),
+        None,
+        Some(&timing),
+    ) {
+        Ok(path) => println!("metrics: {}", path.display()),
+        Err(e) => eprintln!("metrics export failed: {e}"),
     }
 }

@@ -686,6 +686,12 @@ impl PrivateCache {
         self.reject_epoch += 1;
     }
 
+    /// [`note_instruction_complete`](Self::note_instruction_complete) for
+    /// `n` instructions at once.
+    pub fn note_instructions_complete(&mut self, n: u64) {
+        self.reject_epoch += n;
+    }
+
     /// Highest per-requester reject count (for statistics/tests).
     pub fn reject_count(&self) -> u32 {
         self.reject_counts

@@ -351,6 +351,7 @@ pub fn execute(o: &Options) -> Result<String, String> {
     let _ = writeln!(out, "xi [ex,dm,ro,lru] : {:?}", r.xi_counts);
     let _ = writeln!(out, "stall retries     : {}", r.stalls);
     let _ = writeln!(out, "coalesced accesses: {}", r.coalesced_accesses);
+    let _ = writeln!(out, "parked steps      : {}", r.parked_steps);
     if r.tx.broadcast_stops > 0 {
         let _ = writeln!(out, "broadcast stops   : {}", r.tx.broadcast_stops);
     }

@@ -12,6 +12,11 @@
 //! clock, and XIs are delivered synchronously at instruction boundaries —
 //! the paper's "stall completion while XIs are pending" rule (§III.C).
 //! Determinism makes every contention experiment exactly reproducible.
+//! A CPU that spins on an unchanged line — the paper's Figure 1 "wait for
+//! the lock" loop — is *parked*: it leaves the scheduler, and its exactly
+//! repeating loop iterations are retired in closed form when something it
+//! could observe wakes it (see `park.rs`). Parking changes no simulated
+//! outcome; [`SystemReport::parked_steps`] counts the steps it retired.
 //!
 //! The simulator also implements the millicode *broadcast-stop* quiesce
 //! (§III.E): when a struggling constrained transaction escalates to the last
@@ -21,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 mod config;
+mod park;
 mod report;
 mod system;
 

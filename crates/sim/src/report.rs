@@ -44,7 +44,7 @@ impl StmCounts {
 
 /// A snapshot of system-wide counters, produced by
 /// [`crate::System::report`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SystemReport {
     /// Maximum per-CPU clock — the elapsed virtual time of the run.
     pub elapsed_cycles: u64,
@@ -62,6 +62,12 @@ pub struct SystemReport {
     /// a directory walk (zero under `ZTM_NO_COALESCE=1`). A host-speed
     /// statistic: coalescing changes no simulated outcome.
     pub coalesced_accesses: u64,
+    /// Steps retired in closed form by spin parking (zero for runs that
+    /// never park: anything but `run_until_halt`, or a tracer, step log,
+    /// issue window, timer or legacy interpreter attached). Host-speed
+    /// statistics like `coalesced_accesses`: parking changes no simulated
+    /// outcome, and these steps are included in `steps`.
+    pub parked_steps: u64,
     /// Merged software-TM statistics (all zero unless an STM or hybrid
     /// sync mode ran).
     pub stm: StmCounts,

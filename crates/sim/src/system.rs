@@ -3,6 +3,7 @@
 //! discrete-event machine.
 
 use crate::config::SystemConfig;
+use crate::park::{self, LoopHead, LoopStep, Park, Retired, Spin};
 use crate::report::SystemReport;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -13,7 +14,9 @@ use ztm_cache::{
     AccessClass, CohState, CpuId, Fabric, FetchKind, FootprintEvent, LocalHit, PrivateCache, Xi,
     XiKind, XiResponse,
 };
-use ztm_core::{AbortCause, ProgramException, TbeginParams, TendOutcome, TxEngine, TxStats};
+use ztm_core::{
+    AbortCause, ProgramException, TbeginParams, TendOutcome, TxEngine, TxStats, TDB_SIZE,
+};
 use ztm_isa::{
     finish_abort, AbortApply, AccessResult, CasResult, CpuCore, EndResult, ExceptionDisposition,
     Machine, Program, StepEvent, StepOutcome,
@@ -57,6 +60,42 @@ struct Node {
     coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
+    /// Spin-parking state (see [`crate::park`]).
+    spin: Spin,
+}
+
+impl Node {
+    /// Takes this (parked) node off its park, retiring on the node side the
+    /// closed-form steps whose pre-step clock is below `bound`: their
+    /// line-window hits and their XI-reject epoch ticks. The core side is
+    /// [`System::resume`]'s.
+    fn unpark(&mut self, cpu: usize, bound: u64) -> Woken {
+        let Spin::Parked(park) = std::mem::replace(&mut self.spin, Spin::Idle) else {
+            unreachable!("unpark of a CPU that is not parked");
+        };
+        let retired = park.retire_below(bound);
+        self.coalesced += retired.hits;
+        self.cache.note_instructions_complete(retired.steps);
+        Woken { cpu, park, retired }
+    }
+}
+
+/// Parked-CPU bookkeeping shared between the scheduler and [`View`].
+#[derive(Debug, Default)]
+struct Wakes {
+    /// CPUs currently parked.
+    parked: usize,
+    /// CPUs woken during the current step, retired on the node side and
+    /// waiting for [`System::resume`].
+    woken: Vec<Woken>,
+}
+
+/// A CPU taken off its park (see [`Node::unpark`]).
+#[derive(Debug)]
+struct Woken {
+    cpu: usize,
+    park: Park,
+    retired: Retired,
 }
 
 /// A per-core *line window*: the data line the previous full directory walk
@@ -230,6 +269,16 @@ pub struct System {
     /// differential-test hook proving every stepping mode retires the same
     /// step order.
     step_log: Option<Vec<StepLogEntry>>,
+    /// Whether the current run may park spinning CPUs: set for the length
+    /// of a [`run_until_halt`](Self::run_until_halt) call when nothing
+    /// observes individual steps (see
+    /// [`parking_allowed`](Self::parking_allowed)). `step_one`, `step_many`
+    /// and `run_for_cycles` never park.
+    parking: bool,
+    /// Parked CPUs and the CPUs woken during the current step.
+    wakes: Wakes,
+    /// Steps retired in closed form by spin parking.
+    parked_steps: u64,
 }
 
 /// The pipeline width a `ZTM_ISSUE_WIDTH` setting engages: absent or `1` →
@@ -279,6 +328,7 @@ impl System {
                 last_data: None,
                 coalesced: 0,
                 stm: crate::report::StmCounts::default(),
+                spin: Spin::Idle,
             })
             .collect();
         let fabric = match config.l3_geometry {
@@ -317,6 +367,9 @@ impl System {
             superblock_steps: 0,
             sb_cooldown: vec![0; cpus],
             step_log: None,
+            parking: false,
+            wakes: Wakes::default(),
+            parked_steps: 0,
             config,
         }
     }
@@ -622,6 +675,7 @@ impl System {
             config: &self.config,
             coalesce: self.coalesce,
             hit_slot: None,
+            wakes: &mut self.wakes,
         };
         let traced = self.traced[i];
         let (pre_clock, pre_pc) = (self.hot_clock[i], self.cores[i].pc);
@@ -679,6 +733,9 @@ impl System {
             });
         }
 
+        if !self.wakes.woken.is_empty() {
+            self.drain_woken();
+        }
         if out.event == StepEvent::Stalled {
             self.nodes[i].stalls += 1;
         }
@@ -694,6 +751,214 @@ impl System {
             self.release_quiesce(i);
         }
         out
+    }
+
+    /// Whether a run may park spinning CPUs: nothing observes individual
+    /// steps (no event tracer, no step log) and every step is a plain
+    /// scalar step (no issue windows, legacy walk or timer ticks). The
+    /// per-CPU conditions live in [`loop_head`](Self::loop_head).
+    fn parking_allowed(&self) -> bool {
+        !self.tracer.is_enabled()
+            && self.step_log.is_none()
+            && self.pipeline.is_none()
+            && !self.use_legacy_interpreter
+            && self.config.timer_interval.is_none()
+    }
+
+    /// Ends a parking run: requeues every parked CPU at the loop head it
+    /// parked at, retiring none of its closed-form steps, and forgets every
+    /// candidate loop (steps taken outside a parking run are not recorded).
+    /// A requeued spinner merely lags: its unretired iterations touch only
+    /// its own core and line, so they commute with every step taken since
+    /// it parked, and stepping on from here reaches the same outcome.
+    fn stop_parking(&mut self) {
+        for j in 0..self.nodes.len() {
+            if matches!(self.nodes[j].spin, Spin::Parked(_)) {
+                let woken = self.nodes[j].unpark(j, 0);
+                self.wakes.parked -= 1;
+                self.resume(woken);
+            } else {
+                self.nodes[j].spin = Spin::Idle;
+            }
+        }
+    }
+
+    /// Requeues every CPU woken during the step that just completed.
+    fn drain_woken(&mut self) {
+        while let Some(woken) = self.wakes.woken.pop() {
+            self.resume(woken);
+        }
+    }
+
+    /// The core side of waking a parked CPU: leaves the core in the
+    /// post-state of its last retired step (or untouched at the loop head
+    /// when none retired), counts the steps, and pushes its heap entry.
+    fn resume(&mut self, woken: Woken) {
+        let Woken {
+            cpu: j,
+            park,
+            retired,
+        } = woken;
+        if let Some(m) = retired.last {
+            let s = &park.steps[m];
+            let core = &mut self.cores[j];
+            core.pc = s.pc;
+            core.cc = s.cc;
+            core.grs = s.grs;
+            core.clock = retired.clock;
+            core.instructions += retired.steps;
+            self.hot_clock[j] = retired.clock;
+            self.steps += retired.steps;
+            self.parked_steps += retired.steps;
+        }
+        self.ready
+            .push(Reverse(Self::pack_entry(self.hot_clock[j], j)));
+    }
+
+    /// [`exec_step`](Self::exec_step) in a parking run: while CPU `i` is
+    /// confirming a loop, the step is checked and recorded. Returns the
+    /// outcome and whether the CPU parked.
+    fn exec_step_parking(&mut self, i: usize) -> (StepOutcome, bool) {
+        let pre_pc = self.cores[i].pc;
+        let Spin::Confirm { next, .. } = self.nodes[i].spin else {
+            let out = self.exec_step(i);
+            let parked = self.after_step(i, pre_pc, &out);
+            return (out, parked);
+        };
+        // A recordable step continues the clock chain, fetches through the
+        // same-line i-cache fast path, and is on the whitelist.
+        let pre_clock = self.hot_clock[i];
+        let d = *self.programs[i]
+            .as_ref()
+            .expect("program loaded")
+            .decoded(pre_pc);
+        let node = &self.nodes[i];
+        let recordable = next == pre_clock
+            && park::parkable(d.op)
+            && node.last_ifetch == Some(Address::new(d.addr).line())
+            && node.icache_installs == node.last_ifetch_installs
+            && node.last_ifetch_page_epoch == self.pages.epoch();
+        let (hits, instructions) = (node.coalesced, self.cores[i].instructions);
+        let out = self.exec_step(i);
+        // It must also retire exactly one instruction, and a data read must
+        // be a line-window hit.
+        let core = &self.cores[i];
+        let node = &mut self.nodes[i];
+        let hit = node.coalesced - hits;
+        let ok = recordable
+            && out.event == StepEvent::Executed
+            && !out.broadcast_stop
+            && core.is_running()
+            && core.instructions == instructions + 1
+            && hit == u64::from(park::reads_memory(d.op));
+        match &mut node.spin {
+            Spin::Confirm {
+                start, next, steps, ..
+            } if ok && steps.len() < park::MAX_LOOP_STEPS => {
+                steps.push(LoopStep {
+                    offset: pre_clock - *start,
+                    pc: core.pc,
+                    cc: core.cc,
+                    grs: core.grs,
+                    hit: hit == 1,
+                });
+                *next = core.clock;
+            }
+            spin => *spin = Spin::Idle,
+        }
+        let parked = self.after_step(i, pre_pc, &out);
+        (out, parked)
+    }
+
+    /// Spin-parking bookkeeping after CPU `i` executed the step at
+    /// `pre_pc`: a taken backward branch lands on a loop head (see
+    /// [`loop_head`](Self::loop_head)). Returns whether the CPU parked.
+    #[inline]
+    fn after_step(&mut self, i: usize, pre_pc: usize, out: &StepOutcome) -> bool {
+        out.event == StepEvent::Executed && self.cores[i].pc <= pre_pc && self.loop_head(i)
+    }
+
+    /// CPU `i` is at a loop head. The first arrival watches it; an
+    /// identical second arrival starts the confirming iteration, which runs
+    /// for real and is recorded step by step
+    /// ([`exec_step_parking`](Self::exec_step_parking)); a third identical
+    /// arrival after a fully recordable iteration parks the CPU, since
+    /// every later iteration starts from the same state and so repeats the
+    /// recorded one exactly until something the CPU can observe changes —
+    /// and each such change wakes it first (see [`View::wake`]).
+    ///
+    /// Only a CPU outside any transaction, with no pending abort, no PER
+    /// controls or execution trace, and no quiesce in force is watched. Its
+    /// store cache may hold non-transactional entries (the gathering cache
+    /// keeps a lock holder's last stores until an XI drains them): their
+    /// bytes are already in committed memory, a parked load forwards them
+    /// unchanged, and only a store, a transaction boundary or an XI — none
+    /// of which a parked CPU meets without being woken — changes them.
+    /// Returns whether the CPU parked.
+    fn loop_head(&mut self, i: usize) -> bool {
+        let core = &self.cores[i];
+        let node = &mut self.nodes[i];
+        if self.quiesce.is_some()
+            || self.traced[i]
+            || core.per.enabled
+            || !core.is_running()
+            || node.engine.in_tx()
+            || node.engine.pending_abort().is_some()
+        {
+            node.spin = Spin::Idle;
+            return false;
+        }
+        let head = LoopHead {
+            pc: core.pc,
+            cc: core.cc,
+            grs: core.grs,
+            gen: node.cache.generation(),
+            window: node
+                .last_data
+                .map(|w| (w.line, w.excl, w.gen, w.page_epoch)),
+            ifetch: (
+                node.last_ifetch,
+                node.last_ifetch_installs,
+                node.last_ifetch_page_epoch,
+                node.icache_installs,
+            ),
+        };
+        let clock = core.clock;
+        match std::mem::replace(&mut node.spin, Spin::Idle) {
+            Spin::Confirm {
+                head: first,
+                start,
+                steps,
+                ..
+            } if first == head => {
+                // Every recorded hit was served by the window in `head`,
+                // which is still valid: the generation is unchanged, and a
+                // page-residency change would have failed a recorded fetch.
+                let hits = steps.iter().filter(|s| s.hit).count() as u64;
+                node.spin = Spin::Parked(Park {
+                    c0: clock,
+                    period: clock - start,
+                    line: head.window.filter(|_| hits > 0).map(|w| w.0),
+                    hits,
+                    steps,
+                });
+                self.wakes.parked += 1;
+                true
+            }
+            Spin::Watch(prev) if prev == head => {
+                node.spin = Spin::Confirm {
+                    head,
+                    start: clock,
+                    next: clock,
+                    steps: Vec::new(),
+                };
+                false
+            }
+            _ => {
+                node.spin = Spin::Watch(head);
+                false
+            }
+        }
     }
 
     /// Scalar picks to take after a degenerate superblock before probing
@@ -780,6 +1045,9 @@ impl System {
         budget: u64,
         horizon: u64,
     ) -> (u64, StepOutcome) {
+        // Only a parking run parks, and it steps one instruction per pick,
+        // which never takes a block: no step here can wake anyone.
+        debug_assert!(!self.parking && self.wakes.parked == 0);
         let timer_stop = match self.config.timer_interval {
             Some(t) => self.nodes[i].last_timer + t,
             None => u64::MAX,
@@ -802,6 +1070,7 @@ impl System {
             config: &self.config,
             coalesce: self.coalesce,
             hit_slot: None,
+            wakes: &mut self.wakes,
         };
         let mut executed = 0u64;
         let out = loop {
@@ -897,7 +1166,14 @@ impl System {
         };
         let mut done = 0u64;
         loop {
-            let out = if my_entry.is_some() && self.sb_cooldown[i] == 0 && self.block_eligible(i) {
+            // A block the budget cuts below `SB_MIN_RUN` steps (every
+            // `step_one`, so every `run_until_halt`) cannot pay for its
+            // heap churn: step it scalar.
+            let (out, parked) = if my_entry.is_some()
+                && limit - done >= Self::SB_MIN_RUN
+                && self.sb_cooldown[i] == 0
+                && self.block_eligible(i)
+            {
                 // Superblock fast path. The CPU's own (fresh) entry is on
                 // top of the heap; pop it so the next-best fresh entry
                 // bounds how far the block may run before another CPU
@@ -916,13 +1192,17 @@ impl System {
                     self.sb_cooldown[i] = Self::SB_COOLDOWN;
                 }
                 done += k;
-                out
+                (out, false)
             } else {
                 if my_entry.is_some() && self.sb_cooldown[i] > 0 {
                     self.sb_cooldown[i] -= 1;
                 }
                 done += 1;
-                self.exec_step(i)
+                if self.parking {
+                    self.exec_step_parking(i)
+                } else {
+                    (self.exec_step(i), false)
+                }
             };
             // Keep this CPU's heap entry fresh. While it holds the quiesce
             // it is scheduled directly (its stale entry is skipped lazily),
@@ -930,9 +1210,10 @@ impl System {
             // falls through here. When the CPU was scheduled from the heap
             // and its (now stale) entry is still on top, refresh it in
             // place: one sift-down instead of a pop + push. (A
-            // release_quiesce above may have pushed other entries, so the
-            // top is re-checked rather than assumed.)
-            if self.quiesce != Some(i) && self.hot_running[i] {
+            // release_quiesce or a wake above may have pushed other
+            // entries, so the top is re-checked rather than assumed.) A CPU
+            // that just parked leaves the heap until it is woken.
+            if self.quiesce != Some(i) && self.hot_running[i] && !parked {
                 let fresh = Reverse(Self::pack_entry(self.hot_clock[i], i));
                 let mut replaced = false;
                 if let Some(mut top) = self.ready.peek_mut() {
@@ -945,15 +1226,15 @@ impl System {
                     self.ready.push(fresh);
                 }
             } else if let Some(entry) = my_entry {
-                // The stepped CPU halted or took the quiesce: drop its entry
-                // eagerly while it is still (usually) on top.
+                // The stepped CPU halted, parked or took the quiesce: drop
+                // its entry eagerly while it is still (usually) on top.
                 if let Some(top) = self.ready.peek_mut() {
                     if top.0 == entry {
                         std::collections::binary_heap::PeekMut::pop(top);
                     }
                 }
             }
-            if done >= limit || self.hot_clock[i] >= horizon {
+            if done >= limit || self.hot_clock[i] >= horizon || parked {
                 return Some((i, out));
             }
             // Batch continuation: same CPU only, and only when it is
@@ -974,6 +1255,9 @@ impl System {
     }
 
     fn release_quiesce(&mut self, holder: usize) {
+        // Taking the quiesce woke every parked CPU, and none parks while it
+        // is held, so every clock below is current.
+        debug_assert_eq!(self.wakes.parked, 0);
         self.quiesce = None;
         let t = self.hot_clock[holder];
         for j in 0..self.cores.len() {
@@ -989,19 +1273,32 @@ impl System {
         }
     }
 
-    /// Runs until every CPU halts.
+    /// Runs until every CPU halts, parking CPUs that spin on an unchanged
+    /// line (see the crate docs); the outcome is identical to a
+    /// [`step_one`](Self::step_one) loop.
     ///
     /// # Panics
     ///
     /// Panics if more than `max_steps` instructions execute system-wide
-    /// (guards against livelock in tests).
+    /// (guards against livelock in tests) — including when only parked CPUs
+    /// are left, which spin forever on lines nothing will write again. A
+    /// caller that catches the panic gets a consistent system: every parked
+    /// CPU is back on the heap at the loop head it parked at (see
+    /// [`stop_parking`](Self::stop_parking)).
     pub fn run_until_halt(&mut self, max_steps: u64) {
-        for _ in 0..max_steps {
-            if self.step_one().is_none() {
-                return;
+        let start = self.steps;
+        self.parking = self.parking_allowed();
+        while self.step_upto(1).is_some() {
+            if self.steps - start > max_steps {
+                break;
             }
         }
-        panic!("system did not halt within {max_steps} steps");
+        self.parking = false;
+        let livelock = self.wakes.parked > 0;
+        self.stop_parking();
+        if livelock || self.steps - start > max_steps {
+            panic!("system did not halt within {max_steps} steps");
+        }
     }
 
     /// Steps up to `limit` instructions (batched scheduling, see
@@ -1034,6 +1331,9 @@ impl System {
     /// §II.A requires isolation against I/O too) and updates committed
     /// memory.
     pub fn io_store(&mut self, addr: Address, value: u64) {
+        // Public calls return with nothing parked, so the XIs below meet
+        // fully stepped CPUs and need no wake.
+        debug_assert_eq!(self.wakes.parked, 0);
         let line = addr.line();
         let (owner, sharers) = self.fabric.holders(line);
         for (cpu, kind) in owner
@@ -1076,6 +1376,7 @@ impl System {
             tx,
             xi_counts: self.fabric.xi_counts(),
             coalesced_accesses: self.nodes.iter().map(|n| n.coalesced).sum(),
+            parked_steps: self.parked_steps,
             stm,
         }
     }
@@ -1102,6 +1403,9 @@ struct View<'a> {
     /// the memory index probe; reset at the top of every `prepare`, so it
     /// never outlives its access.
     hit_slot: Option<u32>,
+    /// Parked CPUs, woken before this step does anything they could
+    /// observe.
+    wakes: &'a mut Wakes,
 }
 
 impl View<'_> {
@@ -1113,11 +1417,52 @@ impl View<'_> {
         &self.nodes[self.cpu]
     }
 
+    /// Wakes CPU `j` if it is parked, retiring its closed-form steps that
+    /// precede this step in the serial schedule: a step of `j` at pre-step
+    /// clock `c` comes before this one (key `(now, cpu)`) iff `c < now`,
+    /// or `c == now` and `j < cpu`. Called before anything `j` could
+    /// observe happens; the core side completes after this step
+    /// ([`System::resume`] — `j`'s core is not part of any `View`).
+    fn wake(&mut self, j: usize) {
+        if self.wakes.parked > 0 && matches!(self.nodes[j].spin, Spin::Parked(_)) {
+            let bound = self.now + u64::from(j < self.cpu);
+            let woken = self.nodes[j].unpark(j, bound);
+            self.wakes.parked -= 1;
+            self.wakes.woken.push(woken);
+        }
+    }
+
+    /// Wakes every parked CPU (a page-residency change or a broadcast stop).
+    fn wake_all(&mut self) {
+        for j in 0..self.nodes.len() {
+            self.wake(j);
+        }
+    }
+
+    /// A committed-memory write to `[addr, addr + len)` that bypasses
+    /// coherence — no XI reaches the lines' sharers: wakes the CPUs parked
+    /// on those lines, and drops confirming iterations that read them (the
+    /// steps recorded before the write would not repeat after it).
+    fn bypass_write(&mut self, addr: Address, len: u64) {
+        let (first, last) = (addr.line(), addr.add(len - 1).line());
+        let hit = |l: LineAddr| first <= l && l <= last;
+        for j in 0..self.nodes.len() {
+            match &self.nodes[j].spin {
+                Spin::Parked(p) if p.line.is_some_and(hit) => self.wake(j),
+                Spin::Confirm { head, .. } if head.window.is_some_and(|w| hit(w.0)) => {
+                    self.nodes[j].spin = Spin::Idle;
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// Delivers the LRU XIs produced by an L3 associativity overflow: the
     /// victim line leaves every private cache under the overflowing L3,
     /// aborting transactions whose footprint it carried (§III.A/§III.C).
     fn deliver_lru_xis(&mut self, xis: Vec<(CpuId, LineAddr)>) {
         for (cpu, vline) in xis {
+            self.wake(cpu.0);
             let out = self.nodes[cpu.0].cache.handle_xi(Xi {
                 kind: XiKind::Lru,
                 line: vline,
@@ -1142,6 +1487,7 @@ impl View<'_> {
     /// and the caller abandons the fetch (retry or silent drop).
     fn deliver_plan_xis(&mut self, line: LineAddr, xis: Vec<(CpuId, XiKind)>) -> bool {
         for (target, xikind) in xis {
+            self.wake(target.0);
             let out = self.nodes[target.0].cache.handle_xi(Xi {
                 kind: xikind,
                 line,
@@ -1663,12 +2009,28 @@ impl Machine for View<'_> {
             .expect("take_abort without pending abort");
         let ntstg_writes = self.me().cache.abort_tx();
         for w in ntstg_writes {
+            // NTSTG data drains at abort with no XI to the line's sharers.
+            self.bypass_write(w.half_line().base(), HALF_LINE_SIZE);
             w.apply_to(self.mem);
         }
         let node = &mut self.nodes[self.cpu];
         let out = node.engine.process_abort(cause, grs, atia, &mut node.rng);
         let prefix_area = node.prefix_area;
-        finish_abort(out, self.mem, self.pages, &self.config.os, prefix_area)
+        // So do the TDB stores.
+        if let Some((addr, _)) = out.tdb {
+            self.bypass_write(addr, TDB_SIZE as u64);
+        }
+        if out.prefix_tdb.is_some() {
+            self.bypass_write(prefix_area, TDB_SIZE as u64);
+        }
+        let epoch = self.pages.epoch();
+        let apply = finish_abort(out, self.mem, self.pages, &self.config.os, prefix_area);
+        // A page-in invalidates every CPU's fast-path verdicts; a broadcast
+        // stop holds every other CPU at this step's serial key.
+        if apply.broadcast_stop || self.pages.epoch() != epoch {
+            self.wake_all();
+        }
+        apply
     }
 
     fn report_exception(
@@ -1685,6 +2047,7 @@ impl Machine for View<'_> {
         match self.config.os.disposition(pe) {
             ztm_isa::OsDisposition::PageIn(page) => {
                 self.pages.page_in(page);
+                self.wake_all();
                 ExceptionDisposition::Retry {
                     cycles: self.config.os.page_in_cost,
                 }

@@ -334,6 +334,14 @@ impl HashTable {
     /// Loads programs, seeds the per-CPU arenas (bump pointer in R7), runs,
     /// and collects measurements.
     pub fn run(&self, sys: &mut System, ops_per_cpu: u64) -> WorkloadReport {
+        self.load(sys, ops_per_cpu);
+        sys.run_until_halt(2_000_000_000);
+        WorkloadReport::collect(sys)
+    }
+
+    /// The setup half of [`run`](Self::run): loads the programs and seeds
+    /// the per-CPU arenas, leaving the system ready to step.
+    pub fn load(&self, sys: &mut System, ops_per_cpu: u64) {
         let prog = self.program(ops_per_cpu);
         sys.load_program_all(&prog);
         if matches!(
@@ -346,8 +354,6 @@ impl HashTable {
             let arena = self.arena_base + i as u64 * self.arena_size;
             sys.core_mut(i).set_gr(R7, arena);
         }
-        sys.run_until_halt(2_000_000_000);
-        WorkloadReport::collect(sys)
     }
 }
 

@@ -83,11 +83,16 @@ fn drain(sys: &mut System, cap: u64) -> u64 {
 
 /// The superblock and scalar paths must agree on every single step: same
 /// CPU scheduled, same [`ztm::isa::StepOutcome`], and the same trace digest
-/// at the end.
+/// at the end. A `step_one` loop never takes the fast path — a one-step
+/// budget cannot amortize a block's heap churn — so the superblock side's
+/// step log is also matched against the same system batched through
+/// `step_many` budgets, where blocks do engage.
 #[test]
 fn superblock_and_scalar_step_identically() {
     let (mut fast, fast_rec) = mixed_system(4, true);
     let (mut slow, slow_rec) = mixed_system(4, false);
+    fast.set_step_log(true);
+    slow.set_step_log(true);
     let mut steps = 0u64;
     loop {
         let a = fast.step_one();
@@ -107,11 +112,23 @@ fn superblock_and_scalar_step_identically() {
         fast_rec.lock().unwrap().digest(),
         slow_rec.lock().unwrap().digest()
     );
+    assert_eq!(fast.superblock_steps(), 0, "step_one took the fast path");
+    assert_eq!(slow.superblock_steps(), 0);
+    let fast_log = fast.take_step_log();
+    assert_eq!(fast_log, slow.take_step_log());
+
+    let (mut batched, batched_rec) = mixed_system(4, true);
+    batched.set_step_log(true);
+    while batched.step_many(16) > 0 {}
     assert!(
-        fast.superblock_steps() > 0,
+        batched.superblock_steps() > 0,
         "the superblock side never took the fast path"
     );
-    assert_eq!(slow.superblock_steps(), 0);
+    assert_eq!(batched.take_step_log(), fast_log);
+    assert_eq!(
+        batched_rec.lock().unwrap().digest(),
+        fast_rec.lock().unwrap().digest()
+    );
 }
 
 /// Unconstrained batching (a huge `step_many` budget, so blocks only break
@@ -209,22 +226,47 @@ fn run_for_cycles_horizon_lands_mid_superblock() {
     assert!(fast.superblock_steps() > 0);
 }
 
-/// Full workload driver check (the lock-elided hashtable of Fig 5(e)),
-/// where aborts, retries, and the fallback lock all fire.
+/// Full workload check (the lock-elided hashtable of Fig 5(e)), where
+/// aborts, retries, and the fallback lock all fire. The workload's own
+/// `run` steps one instruction per pick, which never takes a superblock,
+/// so both sides are drained through unbounded `step_many` budgets instead;
+/// `run` itself must retire the same schedule.
 #[test]
 fn superblock_and_scalar_agree_on_the_elision_hashtable() {
-    let run = |superblocks: bool| {
-        let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
+    let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
+    let setup = |superblocks: bool| {
         let mut sys = System::new(SystemConfig::with_cpus(4).seed(42));
         sys.set_superblocks(superblocks);
+        sys.set_step_log(true);
         let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
         sys.set_tracer(tracer);
         t.populate(&mut sys, &(0..256).collect::<Vec<_>>());
-        let rep = t.run(&mut sys, 60);
-        let digest = recorder.lock().unwrap().digest();
-        (rep.system.steps, digest)
+        (sys, recorder)
     };
-    assert_eq!(run(true), run(false));
+    let drained = |superblocks: bool| {
+        let (mut sys, recorder) = setup(superblocks);
+        t.load(&mut sys, 60);
+        drain(&mut sys, 10_000_000);
+        let digest = recorder.lock().unwrap().digest();
+        (sys, digest)
+    };
+    let (mut fast, fast_digest) = drained(true);
+    let (mut slow, slow_digest) = drained(false);
+    assert!(
+        fast.superblock_steps() > 0,
+        "the superblock side never took the fast path"
+    );
+    assert_eq!(slow.superblock_steps(), 0);
+    assert!(fast.report().tx.aborts > 0, "no transaction aborted");
+    assert_eq!(fast.report().steps, slow.report().steps);
+    assert_eq!(fast_digest, slow_digest);
+    let log = fast.take_step_log();
+    assert_eq!(log, slow.take_step_log());
+
+    let (mut stepped, recorder) = setup(true);
+    t.run(&mut stepped, 60);
+    assert_eq!(stepped.take_step_log(), log);
+    assert_eq!(recorder.lock().unwrap().digest(), fast_digest);
 }
 
 /// Lowers a random op stream into a halting program: straight-line access
