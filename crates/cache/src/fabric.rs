@@ -213,7 +213,7 @@ impl Fabric {
     /// Records the outcome of one delivered XI. Accepted XIs update the
     /// directory; rejected ones leave it unchanged (the sender will repeat).
     pub fn apply_xi_result(&mut self, target: CpuId, line: LineAddr, kind: XiKind, accepted: bool) {
-        self.xi_counts[kind.code() as usize] += 1;
+        self.add_xi_count(kind, 1);
         if !accepted {
             return;
         }
@@ -232,6 +232,12 @@ impl Fabric {
                 }
             }
         }
+    }
+
+    /// Counts `n` more XIs of `kind`: the closed form of `n` rejected
+    /// deliveries, which leave the directory unchanged.
+    pub fn add_xi_count(&mut self, kind: XiKind, n: u64) {
+        self.xi_counts[kind.code() as usize] += n;
     }
 
     /// Grants the line to the requester after all planned XIs were accepted.
@@ -468,5 +474,7 @@ mod tests {
         f.apply_xi_result(CpuId(0), line(1), XiKind::Exclusive, false);
         f.apply_xi_result(CpuId(0), line(1), XiKind::Exclusive, true);
         assert_eq!(f.xi_counts()[0], 2);
+        f.add_xi_count(XiKind::Demote, 3);
+        assert_eq!(f.xi_counts(), [2, 3, 0, 0]);
     }
 }

@@ -679,6 +679,29 @@ impl PrivateCache {
         slot.count
     }
 
+    /// Charges `n` more rejects to `from` at once: the closed form of `n`
+    /// stiff-armed retries by `from`, each of which changes nothing else in
+    /// this unit. `from`'s slot must have been current at its last reject;
+    /// if an instruction completed here since, the retries were made in
+    /// that past epoch, which nothing reads any more, and the charge is
+    /// dropped with it.
+    pub fn add_rejects(&mut self, from: CpuId, n: u32) {
+        if let Some(slot) = self.reject_counts.get_mut(from.0) {
+            if slot.epoch == self.reject_epoch {
+                slot.count += n;
+            }
+        }
+    }
+
+    /// The reject count currently charged to `from` (0 once an instruction
+    /// completed since its last reject).
+    pub fn rejects_of(&self, from: CpuId) -> u32 {
+        self.reject_counts
+            .get(from.0)
+            .filter(|s| s.epoch == self.reject_epoch)
+            .map_or(0, |s| s.count)
+    }
+
     /// Resets the XI-reject counters; called whenever the CPU completes an
     /// instruction (a progressing CPU may keep stiff-arming, §III.C).
     /// O(1): bumping the epoch invalidates every slot at once.
@@ -864,6 +887,32 @@ mod tests {
             out.events.as_slice(),
             [FootprintEvent::RejectHang { .. }]
         ));
+    }
+
+    #[test]
+    fn added_rejects_count_like_delivered_ones() {
+        let mut u = unit();
+        u.begin_outermost_tx();
+        u.install(line(1), CohState::Exclusive, AccessClass::Store, true);
+        u.buffer_store(line(1).base(), &[1], true, false);
+        let from = xi(XiKind::Exclusive, line(1)).from.expect("CPU XI");
+        let threshold = u.geometry().xi_reject_threshold;
+        assert_eq!(
+            u.handle_xi(xi(XiKind::Exclusive, line(1))).response,
+            XiResponse::Reject
+        );
+        u.add_rejects(from, threshold - 1);
+        assert_eq!(u.rejects_of(from), threshold);
+        let out = u.handle_xi(xi(XiKind::Exclusive, line(1)));
+        assert!(matches!(
+            out.events.as_slice(),
+            [FootprintEvent::RejectHang { .. }]
+        ));
+        // Rejects made before an instruction completed belong to a past
+        // epoch: adding them afterwards changes nothing.
+        u.note_instruction_complete();
+        u.add_rejects(from, 5);
+        assert_eq!(u.rejects_of(from), 0);
     }
 
     #[test]

@@ -445,6 +445,13 @@ impl TxEngine {
         None
     }
 
+    /// Whether the diagnostic control is inert: `Off` with no countdown
+    /// drawn, so [`tdc_tick`](Self::tdc_tick) draws no random number and
+    /// never aborts.
+    pub fn tdc_inert(&self) -> bool {
+        self.tdc == DiagnosticControl::Off && self.tdc_countdown.is_none()
+    }
+
     /// Whether the diagnostic control demands an abort *instead of* the
     /// outermost TEND ("at latest before the outermost TEND", §II.E.3).
     pub fn tdc_forces_abort_at_tend(&self) -> bool {

@@ -15,8 +15,11 @@
 //! A CPU that spins on an unchanged line — the paper's Figure 1 "wait for
 //! the lock" loop — is *parked*: it leaves the scheduler, and its exactly
 //! repeating loop iterations are retired in closed form when something it
-//! could observe wakes it (see `park.rs`). Parking changes no simulated
-//! outcome; [`SystemReport::parked_steps`] counts the steps it retired.
+//! could observe wakes it. So is a CPU whose data access was stiff-armed:
+//! its identical rejected retries are retired in closed form up to the one
+//! that exhausts the holder's reject budget (see `park.rs`). Parking
+//! changes no simulated outcome; [`SystemReport::parked_steps`] counts the
+//! steps it retired.
 //!
 //! The simulator also implements the millicode *broadcast-stop* quiesce
 //! (§III.E): when a struggling constrained transaction escalates to the last

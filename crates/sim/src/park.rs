@@ -1,14 +1,20 @@
-//! Spin parking: a CPU that spins on an unchanged L1 line — the paper's
-//! Figure 1 "wait for lock to become free" loop — repeats one loop
-//! iteration exactly, step for step, until something it can observe
-//! changes. Instead of paying one scheduler event per repeated step, the
-//! scheduler takes such a CPU off its heap and later retires the repeated
-//! steps in closed form (see `System`'s scheduler for when, and DESIGN.md
-//! "Spin parking" for the exactness argument).
+//! Parking: a CPU whose next steps provably repeat its last ones leaves
+//! the scheduler's per-step work, and the scheduler later retires the
+//! repeated steps in closed form. Two kinds of CPU park:
 //!
-//! This module holds the per-CPU detection state and the closed-form
-//! arithmetic; the scheduler in `system.rs` drives both.
+//! - a *spinner* on an unchanged L1 line — the paper's Figure 1 "wait for
+//!   lock to become free" loop — repeats one loop iteration exactly, step
+//!   for step, until something it can observe changes ([`Loop`]);
+//! - a CPU whose data access was just *stiff-armed* (§III.C) retries it
+//!   every `1 + xi_reject_retry` cycles and is rejected the same way each
+//!   time, until the holder moves or its reject budget runs out
+//!   ([`Stall`]).
+//!
+//! This module holds the per-CPU detection state, the waiter bookkeeping
+//! and the closed-form arithmetic; the scheduler in `system.rs` drives them
+//! (see DESIGN.md "Parking" for the exactness arguments).
 
+use ztm_cache::XiKind;
 use ztm_isa::Op;
 use ztm_mem::LineAddr;
 
@@ -48,7 +54,7 @@ pub(crate) struct LoopStep {
     pub hit: bool,
 }
 
-/// A CPU's spin-parking state.
+/// A CPU's parking state.
 #[derive(Debug)]
 pub(crate) enum Spin {
     /// No candidate loop head.
@@ -66,14 +72,23 @@ pub(crate) enum Spin {
         next: u64,
         steps: Vec<LoopStep>,
     },
-    /// Off the scheduling heap, repeating the confirmed iteration.
+    /// Parked: its steps are retired in closed form.
     Parked(Park),
 }
 
-/// A parked CPU: iteration `n ≥ 0` runs step `m` at pre-step clock
-/// `c0 + n·period + steps[m].offset`.
+/// The two kinds of park.
 #[derive(Debug)]
-pub(crate) struct Park {
+pub(crate) enum Park {
+    /// Off the scheduling heap, repeating a confirmed loop iteration.
+    Loop(Loop),
+    /// On the heap at its deadline, retrying a stiff-armed access.
+    Stall(Stall),
+}
+
+/// A CPU parked on a loop: iteration `n ≥ 0` runs step `m` at pre-step
+/// clock `c0 + n·period + steps[m].offset`.
+#[derive(Debug)]
+pub(crate) struct Loop {
     pub c0: u64,
     pub period: u64,
     pub steps: Vec<LoopStep>,
@@ -88,14 +103,16 @@ pub(crate) struct Park {
 pub(crate) struct Retired {
     pub steps: u64,
     pub hits: u64,
-    /// Index into [`Park::steps`] of the last retired step (`None` when no
-    /// step retired: the core is still at the loop head at `c0`).
+    /// Index into [`Loop::steps`] of the last retired step, whose post-step
+    /// registers the core takes on. `None` leaves the registers as they
+    /// are: no loop step retired (the core is still at the loop head at
+    /// `c0`), or the steps were stall retries, which change only the clock.
     pub last: Option<usize>,
     /// The core clock after the last retired step.
     pub clock: u64,
 }
 
-impl Park {
+impl Loop {
     /// The steps whose pre-step clock is below `bound`: with
     /// `d = bound − c0 − 1`, `q = d / period` full iterations plus the
     /// steps of iteration `q` whose offset is at most `d mod period`.
@@ -120,6 +137,119 @@ impl Park {
             last: Some(k - 1),
             clock: (self.c0 + q * self.period).saturating_add(next),
         }
+    }
+}
+
+/// A CPU stall-parked on a stiff-armed data access: its retry `n ≥ 0`
+/// runs at pre-step clock `c1 + n·period`, and `holder` rejects retries
+/// `0..retries` for certain (they exhaust the holder's reject budget
+/// against this CPU). Retry `retries`, at the [`deadline`](Self::deadline),
+/// is accepted as a `RejectHang` and runs for real.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stall {
+    pub c1: u64,
+    /// `1 + xi_reject_retry`: a retry's fetch takes the same-line fast
+    /// path (0 cycles) and the rejected access costs the retry delay.
+    pub period: u64,
+    /// `xi_reject_threshold − c`, where `c` is the holder's reject count
+    /// against this CPU when it parked.
+    pub retries: u64,
+    pub holder: usize,
+    /// The kind of the rejected XI, counted once per retry by the fabric.
+    pub kind: XiKind,
+}
+
+impl Stall {
+    /// The pre-step clock of the first retry that is not a certain reject.
+    pub fn deadline(&self) -> u64 {
+        self.c1 + self.retries * self.period
+    }
+
+    /// The retries whose pre-step clock is below `bound`: with
+    /// `d = bound − c1 − 1`, `d / period + 1` of them, capped at `retries`.
+    pub fn retire_below(&self, bound: u64) -> Retired {
+        let steps = match bound.checked_sub(self.c1 + 1) {
+            Some(d) => (d / self.period + 1).min(self.retries),
+            None => 0,
+        };
+        Retired {
+            steps,
+            hits: 0,
+            last: None,
+            clock: self.c1 + steps * self.period,
+        }
+    }
+}
+
+/// Which CPUs are stall-parked on which holder's rejects: one doubly
+/// linked list per holder, threaded through per-CPU links so that parking
+/// allocates nothing (a CPU waits on one holder at a time). Any real step
+/// of a holder that does not stall wakes its list (see
+/// `System::wake_waiters`).
+#[derive(Debug, Default)]
+pub(crate) struct Waiters {
+    /// Per holder, its first waiter.
+    head: Vec<u32>,
+    /// Per waiter, its neighbours in its holder's list.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+const NONE: u32 = u32::MAX;
+
+impl Waiters {
+    pub fn new(cpus: usize) -> Self {
+        Waiters {
+            head: vec![NONE; cpus],
+            next: vec![NONE; cpus],
+            prev: vec![NONE; cpus],
+        }
+    }
+
+    /// Whether any CPU waits on `holder`.
+    pub fn any(&self, holder: usize) -> bool {
+        self.head[holder] != NONE
+    }
+
+    /// Whether no CPU waits on anyone.
+    pub fn is_empty(&self) -> bool {
+        self.head.iter().all(|&h| h == NONE)
+    }
+
+    pub fn add(&mut self, holder: usize, cpu: usize) {
+        let first = self.head[holder];
+        debug_assert!(first != cpu as u32 && self.prev[cpu] == NONE);
+        self.next[cpu] = first;
+        if first != NONE {
+            self.prev[first as usize] = cpu as u32;
+        }
+        self.head[holder] = cpu as u32;
+    }
+
+    /// Unlinks `cpu` from `holder`'s list if it is there.
+    pub fn remove(&mut self, holder: usize, cpu: usize) {
+        let (p, n) = (self.prev[cpu], self.next[cpu]);
+        if p != NONE {
+            self.next[p as usize] = n;
+        } else if self.head[holder] == cpu as u32 {
+            self.head[holder] = n;
+        } else {
+            return;
+        }
+        if n != NONE {
+            self.prev[n as usize] = p;
+        }
+        self.prev[cpu] = NONE;
+        self.next[cpu] = NONE;
+    }
+
+    /// Unlinks and returns the first CPU waiting on `holder`.
+    pub fn pop(&mut self, holder: usize) -> Option<usize> {
+        let first = self.head[holder];
+        (first != NONE).then(|| {
+            self.remove(holder, first as usize);
+            first as usize
+        })
     }
 }
 
@@ -161,6 +291,18 @@ pub(crate) fn reads_memory(op: Op) -> bool {
     matches!(op, Op::Lg | Op::Ltg | Op::Cg)
 }
 
+/// Whether a stiff-armed `op` may stall-park: it makes exactly one data
+/// access, so a rejected retry stops at that access with nothing done
+/// before it but the instruction fetch and the idempotent constrained
+/// checks. Loads, compares, stores, NTSTG, CSG and STCKF (whose stored
+/// clock value is computed but never used by a rejected retry).
+pub(crate) fn single_access(op: Op) -> bool {
+    matches!(
+        op,
+        Op::Lg | Op::Ltg | Op::Cg | Op::Stg | Op::Ntstg | Op::Csg | Op::Stckf
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,8 +319,8 @@ mod tests {
 
     /// The Figure 1 loop's shape: LTG (hit), JZ, DELAY, J at offsets
     /// 0/2/4/29, period 31.
-    fn spin() -> Park {
-        Park {
+    fn spin() -> Loop {
+        Loop {
             c0: 100,
             period: 31,
             steps: vec![
@@ -194,7 +336,7 @@ mod tests {
 
     /// Brute-force enumeration of the serial schedule the closed form
     /// replaces.
-    fn enumerate(p: &Park, bound: u64) -> Retired {
+    fn enumerate(p: &Loop, bound: u64) -> Retired {
         let mut r = Retired {
             steps: 0,
             hits: 0,
@@ -223,6 +365,64 @@ mod tests {
         }
     }
 
+    /// Brute-force enumeration of the stall retries the closed form
+    /// replaces.
+    fn enumerate_stall(s: &Stall, bound: u64) -> Retired {
+        let mut r = Retired {
+            steps: 0,
+            hits: 0,
+            last: None,
+            clock: s.c1,
+        };
+        while r.steps < s.retries && s.c1 + r.steps * s.period < bound {
+            r.steps += 1;
+            r.clock += s.period;
+        }
+        r
+    }
+
+    #[test]
+    fn stall_closed_form_matches_enumeration() {
+        for (c1, period, retries) in [(100, 41, 15), (0, 1, 16), (7, 3, 0), (50, 41, 1)] {
+            let s = Stall {
+                c1,
+                period,
+                retries,
+                holder: 0,
+                kind: XiKind::Exclusive,
+            };
+            for bound in 0..s.deadline() + 2 * period + 2 {
+                assert_eq!(
+                    s.retire_below(bound),
+                    enumerate_stall(&s, bound),
+                    "{s:?} bound {bound}"
+                );
+            }
+            assert_eq!(s.retire_below(u64::MAX).steps, retries);
+            assert_eq!(s.retire_below(s.deadline()).clock, s.deadline());
+        }
+    }
+
+    #[test]
+    fn waiter_lists_link_and_unlink() {
+        let mut w = Waiters::new(4);
+        w.add(0, 1);
+        w.add(0, 2);
+        w.add(3, 0);
+        assert!(w.any(0) && w.any(3) && !w.any(1));
+        w.remove(0, 1);
+        w.remove(0, 1);
+        assert_eq!(w.pop(0), Some(2));
+        assert_eq!(w.pop(0), None);
+        w.add(0, 1);
+        w.add(0, 2);
+        w.add(0, 3);
+        w.remove(0, 2);
+        assert_eq!((w.pop(0), w.pop(0), w.pop(0)), (Some(3), Some(1), None));
+        assert_eq!(w.pop(3), Some(0));
+        assert!(w.is_empty());
+    }
+
     #[test]
     fn whitelist_excludes_side_effects() {
         for op in [
@@ -238,5 +438,9 @@ mod tests {
         }
         assert!(parkable(Op::Ltg) && reads_memory(Op::Ltg));
         assert!(parkable(Op::Delay) && !reads_memory(Op::Delay));
+        for op in [Op::Tbeginc, Op::Tend, Op::Ppa, Op::RandMod, Op::StmNote] {
+            assert!(!single_access(op), "{op:?}");
+        }
+        assert!(single_access(Op::Stg) && single_access(Op::Csg));
     }
 }

@@ -62,11 +62,13 @@ pub struct SystemReport {
     /// a directory walk (zero under `ZTM_NO_COALESCE=1`). A host-speed
     /// statistic: coalescing changes no simulated outcome.
     pub coalesced_accesses: u64,
-    /// Steps retired in closed form by spin parking (zero for runs that
-    /// never park: anything but `run_until_halt`, or a tracer, step log,
-    /// issue window, timer or legacy interpreter attached). Host-speed
-    /// statistics like `coalesced_accesses`: parking changes no simulated
-    /// outcome, and these steps are included in `steps`.
+    /// Steps retired in closed form by parking: spin-loop iterations and
+    /// stiff-armed stall retries (zero for runs that never park: anything
+    /// but `run_until_halt`, or a tracer, step log, issue window, timer or
+    /// legacy interpreter attached). Host-speed statistics like
+    /// `coalesced_accesses`: parking changes no simulated outcome, and
+    /// these steps are included in `steps` (and the stall retries in
+    /// `stalls`).
     pub parked_steps: u64,
     /// Merged software-TM statistics (all zero unless an STM or hybrid
     /// sync mode ran).

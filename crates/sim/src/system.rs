@@ -3,7 +3,7 @@
 //! discrete-event machine.
 
 use crate::config::SystemConfig;
-use crate::park::{self, LoopHead, LoopStep, Park, Retired, Spin};
+use crate::park::{self, Loop, LoopHead, LoopStep, Park, Retired, Spin, Stall, Waiters};
 use crate::report::SystemReport;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,37 +60,67 @@ struct Node {
     coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
-    /// Spin-parking state (see [`crate::park`]).
+    /// Parking state (see [`crate::park`]).
     spin: Spin,
-}
-
-impl Node {
-    /// Takes this (parked) node off its park, retiring on the node side the
-    /// closed-form steps whose pre-step clock is below `bound`: their
-    /// line-window hits and their XI-reject epoch ticks. The core side is
-    /// [`System::resume`]'s.
-    fn unpark(&mut self, cpu: usize, bound: u64) -> Woken {
-        let Spin::Parked(park) = std::mem::replace(&mut self.spin, Spin::Idle) else {
-            unreachable!("unpark of a CPU that is not parked");
-        };
-        let retired = park.retire_below(bound);
-        self.coalesced += retired.hits;
-        self.cache.note_instructions_complete(retired.steps);
-        Woken { cpu, park, retired }
-    }
 }
 
 /// Parked-CPU bookkeeping shared between the scheduler and [`View`].
 #[derive(Debug, Default)]
 struct Wakes {
-    /// CPUs currently parked.
+    /// CPUs currently parked (both kinds).
     parked: usize,
-    /// CPUs woken during the current step, retired on the node side and
+    /// CPUs woken during the current step, retired on the memory side and
     /// waiting for [`System::resume`].
     woken: Vec<Woken>,
+    /// The holder and XI kind of the last fetch plan whose *first* XI was
+    /// stiff-armed (`None` when a later one was): a stalled step's
+    /// candidate for a stall park.
+    rejected: Option<(usize, XiKind)>,
+    /// The CPUs stall-parked on each CPU's XI rejects.
+    waiters: Waiters,
+    /// Per CPU, the latest deadline a stall park queued it at. An early
+    /// wake leaves that heap entry behind, stale until the clock reaches it
+    /// again; a loop park, which must leave the heap, never starts at or
+    /// before it.
+    stall_entry: Vec<u64>,
 }
 
-/// A CPU taken off its park (see [`Node::unpark`]).
+impl Wakes {
+    /// Takes CPU `j` off its park, retiring on the memory side the
+    /// closed-form steps whose pre-step clock is below `bound`: for a loop,
+    /// their line-window hits and XI-reject epoch ticks; for a stall, the
+    /// stall count, the holder's reject count against `j` and the fabric's
+    /// XI count. The core side is [`System::resume`]'s.
+    fn unpark(&mut self, nodes: &mut [Node], fabric: &mut Fabric, j: usize, bound: u64) -> Woken {
+        let Spin::Parked(park) = std::mem::replace(&mut nodes[j].spin, Spin::Idle) else {
+            unreachable!("unpark of a CPU that is not parked");
+        };
+        self.parked -= 1;
+        let retired = match &park {
+            Park::Loop(l) => {
+                let r = l.retire_below(bound);
+                nodes[j].coalesced += r.hits;
+                nodes[j].cache.note_instructions_complete(r.steps);
+                r
+            }
+            Park::Stall(s) => {
+                let r = s.retire_below(bound);
+                nodes[j].stalls += r.steps;
+                self.waiters.remove(s.holder, j);
+                nodes[s.holder].cache.add_rejects(CpuId(j), r.steps as u32);
+                fabric.add_xi_count(s.kind, r.steps);
+                r
+            }
+        };
+        Woken {
+            cpu: j,
+            park,
+            retired,
+        }
+    }
+}
+
+/// A CPU taken off its park (see [`Wakes::unpark`]).
 #[derive(Debug)]
 struct Woken {
     cpu: usize,
@@ -269,7 +299,7 @@ pub struct System {
     /// differential-test hook proving every stepping mode retires the same
     /// step order.
     step_log: Option<Vec<StepLogEntry>>,
-    /// Whether the current run may park spinning CPUs: set for the length
+    /// Whether the current run may park CPUs: set for the length
     /// of a [`run_until_halt`](Self::run_until_halt) call when nothing
     /// observes individual steps (see
     /// [`parking_allowed`](Self::parking_allowed)). `step_one`, `step_many`
@@ -277,7 +307,7 @@ pub struct System {
     parking: bool,
     /// Parked CPUs and the CPUs woken during the current step.
     wakes: Wakes,
-    /// Steps retired in closed form by spin parking.
+    /// Steps retired in closed form by parking (both kinds).
     parked_steps: u64,
 }
 
@@ -368,7 +398,11 @@ impl System {
             sb_cooldown: vec![0; cpus],
             step_log: None,
             parking: false,
-            wakes: Wakes::default(),
+            wakes: Wakes {
+                waiters: Waiters::new(cpus),
+                stall_entry: vec![0; cpus],
+                ..Wakes::default()
+            },
             parked_steps: 0,
             config,
         }
@@ -512,7 +546,8 @@ impl System {
         &self.nodes[cpu].cache
     }
 
-    /// XI-stall retries a CPU has performed.
+    /// XI-stall retries a CPU has performed, including the ones a stall
+    /// park retired in closed form.
     pub fn stalls(&self, cpu: usize) -> u64 {
         self.nodes[cpu].stalls
     }
@@ -753,10 +788,11 @@ impl System {
         out
     }
 
-    /// Whether a run may park spinning CPUs: nothing observes individual
-    /// steps (no event tracer, no step log) and every step is a plain
-    /// scalar step (no issue windows, legacy walk or timer ticks). The
-    /// per-CPU conditions live in [`loop_head`](Self::loop_head).
+    /// Whether a run may park CPUs: nothing observes individual steps (no
+    /// event tracer, no step log) and every step is a plain scalar step (no
+    /// issue windows, legacy walk or timer ticks). The per-CPU conditions
+    /// live in [`loop_head`](Self::loop_head) and
+    /// [`stall_park`](Self::stall_park).
     fn parking_allowed(&self) -> bool {
         !self.tracer.is_enabled()
             && self.step_log.is_none()
@@ -765,69 +801,126 @@ impl System {
             && self.config.timer_interval.is_none()
     }
 
-    /// Ends a parking run: requeues every parked CPU at the loop head it
-    /// parked at, retiring none of its closed-form steps, and forgets every
-    /// candidate loop (steps taken outside a parking run are not recorded).
-    /// A requeued spinner merely lags: its unretired iterations touch only
-    /// its own core and line, so they commute with every step taken since
-    /// it parked, and stepping on from here reaches the same outcome.
+    /// Ends a parking run: requeues every parked CPU where it parked — a
+    /// spinner at its loop head, a stalled CPU at its first closed-form
+    /// retry `c1` — retiring none of its closed-form steps, and forgets
+    /// every candidate loop (steps taken outside a parking run are not
+    /// recorded). A requeued CPU merely lags: its unretired steps touch
+    /// only its own core, its own line and counters (a stall's holder
+    /// reject count and the fabric's XI count), so they commute with every
+    /// step taken since it parked, and stepping on from here reaches the
+    /// same outcome.
     fn stop_parking(&mut self) {
         for j in 0..self.nodes.len() {
             if matches!(self.nodes[j].spin, Spin::Parked(_)) {
-                let woken = self.nodes[j].unpark(j, 0);
-                self.wakes.parked -= 1;
+                let woken = self.wakes.unpark(&mut self.nodes, &mut self.fabric, j, 0);
                 self.resume(woken);
+                self.requeue(j);
             } else {
                 self.nodes[j].spin = Spin::Idle;
             }
         }
+        debug_assert!(self.wakes.waiters.is_empty());
     }
 
     /// Requeues every CPU woken during the step that just completed.
     fn drain_woken(&mut self) {
         while let Some(woken) = self.wakes.woken.pop() {
+            let j = woken.cpu;
             self.resume(woken);
+            self.requeue(j);
+        }
+    }
+
+    /// Wakes the CPUs stall-parked on CPU `h`'s rejects after `h` took a
+    /// real step at pre-step clock `now` that did not stall: completing an
+    /// instruction moves `h`'s reject epoch, and a transaction begin,
+    /// commit or abort changes its footprint, so their next retries may not
+    /// repeat. Their retries keyed before `h`'s step `(now, h)` are retired
+    /// ([`View::wake`]'s tie rule); the rejects they charge `h` land in the
+    /// epoch they were made in (see [`PrivateCache::add_rejects`]).
+    ///
+    /// A stalled step of `h` changes nothing its waiters read — its own
+    /// directory, reject epoch and transaction state stay as they were —
+    /// so it wakes nobody: a stall chain parks as a whole, and so does a
+    /// cross-hold whose two sides stiff-arm each other.
+    fn wake_waiters(&mut self, h: usize, now: u64) {
+        while let Some(w) = self.wakes.waiters.pop(h) {
+            let bound = now + u64::from(w < h);
+            let woken = self
+                .wakes
+                .unpark(&mut self.nodes, &mut self.fabric, w, bound);
+            self.resume(woken);
+            self.requeue(w);
         }
     }
 
     /// The core side of waking a parked CPU: leaves the core in the
-    /// post-state of its last retired step (or untouched at the loop head
-    /// when none retired), counts the steps, and pushes its heap entry.
+    /// post-state of its last retired step (or untouched where it parked
+    /// when none retired) and counts the steps. The caller requeues it.
     fn resume(&mut self, woken: Woken) {
         let Woken {
             cpu: j,
             park,
             retired,
         } = woken;
-        if let Some(m) = retired.last {
-            let s = &park.steps[m];
-            let core = &mut self.cores[j];
+        let core = &mut self.cores[j];
+        if let (Park::Loop(l), Some(m)) = (&park, retired.last) {
+            let s = &l.steps[m];
             core.pc = s.pc;
             core.cc = s.cc;
             core.grs = s.grs;
-            core.clock = retired.clock;
             core.instructions += retired.steps;
-            self.hot_clock[j] = retired.clock;
-            self.steps += retired.steps;
-            self.parked_steps += retired.steps;
         }
+        core.clock = retired.clock;
+        self.hot_clock[j] = retired.clock;
+        self.steps += retired.steps;
+        self.parked_steps += retired.steps;
+    }
+
+    /// Pushes CPU `j`'s heap entry at its current clock.
+    fn requeue(&mut self, j: usize) {
         self.ready
             .push(Reverse(Self::pack_entry(self.hot_clock[j], j)));
     }
 
-    /// [`exec_step`](Self::exec_step) in a parking run: while CPU `i` is
-    /// confirming a loop, the step is checked and recorded. Returns the
-    /// outcome and whether the CPU parked.
+    /// [`exec_step`](Self::exec_step) in a parking run. Returns the outcome
+    /// and whether the CPU parked off the heap (a loop park; a stall-parked
+    /// CPU stays on the heap at its deadline).
     fn exec_step_parking(&mut self, i: usize) -> (StepOutcome, bool) {
-        let pre_pc = self.cores[i].pc;
-        let Spin::Confirm { next, .. } = self.nodes[i].spin else {
-            let out = self.exec_step(i);
-            let parked = self.after_step(i, pre_pc, &out);
-            return (out, parked);
+        let (pre_clock, pre_pc) = (self.hot_clock[i], self.cores[i].pc);
+        let out = match self.nodes[i].spin {
+            Spin::Confirm { next, .. } => self.exec_step_recorded(i, next),
+            Spin::Parked(_) => {
+                // Only a stall park keeps a heap entry, at its deadline:
+                // every certain reject precedes this retry, which runs for
+                // real.
+                debug_assert!(matches!(
+                    &self.nodes[i].spin,
+                    Spin::Parked(Park::Stall(s)) if s.deadline() == self.hot_clock[i]
+                ));
+                let woken =
+                    self.wakes
+                        .unpark(&mut self.nodes, &mut self.fabric, i, self.hot_clock[i]);
+                self.resume(woken);
+                self.exec_step(i)
+            }
+            _ => self.exec_step(i),
         };
+        if self.wakes.waiters.any(i) && out.event != StepEvent::Stalled {
+            self.wake_waiters(i, pre_clock);
+        }
+        let parked = self.after_step(i, pre_pc, &out);
+        (out, parked)
+    }
+
+    /// [`exec_step`](Self::exec_step) for a CPU confirming a loop: the step
+    /// is checked and recorded. `next` is the pre-step clock that continues
+    /// the iteration's clock chain.
+    fn exec_step_recorded(&mut self, i: usize, next: u64) -> StepOutcome {
         // A recordable step continues the clock chain, fetches through the
         // same-line i-cache fast path, and is on the whitelist.
-        let pre_clock = self.hot_clock[i];
+        let (pre_clock, pre_pc) = (self.hot_clock[i], self.cores[i].pc);
         let d = *self.programs[i]
             .as_ref()
             .expect("program loaded")
@@ -866,16 +959,82 @@ impl System {
             }
             spin => *spin = Spin::Idle,
         }
-        let parked = self.after_step(i, pre_pc, &out);
-        (out, parked)
+        out
     }
 
-    /// Spin-parking bookkeeping after CPU `i` executed the step at
-    /// `pre_pc`: a taken backward branch lands on a loop head (see
-    /// [`loop_head`](Self::loop_head)). Returns whether the CPU parked.
+    /// Parking bookkeeping after CPU `i` executed the step at `pre_pc`: a
+    /// taken backward branch lands on a loop head (see
+    /// [`loop_head`](Self::loop_head)), and a stalled step may start a
+    /// stall park ([`stall_park`](Self::stall_park)). Returns whether the
+    /// CPU left the heap.
     #[inline]
     fn after_step(&mut self, i: usize, pre_pc: usize, out: &StepOutcome) -> bool {
-        out.event == StepEvent::Executed && self.cores[i].pc <= pre_pc && self.loop_head(i)
+        match out.event {
+            StepEvent::Executed => self.cores[i].pc <= pre_pc && self.loop_head(i),
+            StepEvent::Stalled => {
+                self.stall_park(i);
+                false
+            }
+            _ => false,
+        }
+    }
+
+    /// CPU `i`'s data access was just stiff-armed by holder `H`. When `H`
+    /// was the fetch plan's first target, the step changed nothing but
+    /// counters: `i`'s clock, stall and step counts, `H`'s reject count
+    /// against `i` (now `c`) and the fabric's XI count. Every later retry
+    /// then costs `1 + xi_reject_retry` cycles (a same-line ifetch, the
+    /// idempotent constrained checks, the rejected access) and changes the
+    /// same counters the same way, until something it reads changes — and
+    /// each such change wakes it ([`View::xi_accepted`],
+    /// [`wake_waiters`](Self::wake_waiters), [`View::wake_all`]) — or `H`'s
+    /// budget runs out: the next `threshold − c` retries are certain
+    /// rejects. The CPU parks with its heap entry at the retry after them,
+    /// which runs for real.
+    ///
+    /// Only a CPU whose op makes one data access ([`park::single_access`]),
+    /// with an inert diagnostic control, no pending abort, no PER controls
+    /// or execution trace and no quiesce in force parks.
+    fn stall_park(&mut self, i: usize) {
+        let Some((h, kind)) = self.wakes.rejected.take() else {
+            return;
+        };
+        let core = &self.cores[i];
+        let node = &self.nodes[i];
+        let d = self.programs[i]
+            .as_ref()
+            .expect("program loaded")
+            .decoded(core.pc);
+        let c = self.nodes[h].cache.rejects_of(CpuId(i));
+        let threshold = self.config.geometry.xi_reject_threshold;
+        if c >= threshold
+            || !park::single_access(d.op)
+            || self.quiesce.is_some()
+            || self.traced[i]
+            || core.per.enabled
+            || node.engine.pending_abort().is_some()
+            || !node.engine.tdc_inert()
+            || node.last_ifetch != Some(Address::new(d.addr).line())
+            || node.icache_installs != node.last_ifetch_installs
+            || node.last_ifetch_page_epoch != self.pages.epoch()
+        {
+            return;
+        }
+        let stall = Stall {
+            c1: self.hot_clock[i],
+            period: 1 + self.config.latency.xi_reject_retry,
+            retries: u64::from(threshold - c),
+            holder: h,
+            kind,
+        };
+        let deadline = stall.deadline();
+        self.wakes.waiters.add(h, i);
+        let node = &mut self.nodes[i];
+        node.spin = Spin::Parked(Park::Stall(stall));
+        self.wakes.stall_entry[i] = self.wakes.stall_entry[i].max(deadline);
+        self.wakes.parked += 1;
+        // The heap entry the scheduler refreshes after this step.
+        self.hot_clock[i] = deadline;
     }
 
     /// CPU `i` is at a loop head. The first arrival watches it; an
@@ -888,7 +1047,9 @@ impl System {
     /// and each such change wakes it first (see [`View::wake`]).
     ///
     /// Only a CPU outside any transaction, with no pending abort, no PER
-    /// controls or execution trace, and no quiesce in force is watched. Its
+    /// controls or execution trace, and no quiesce in force is watched, and
+    /// it parks only past its last stall deadline (see
+    /// [`Wakes::stall_entry`]). Its
     /// store cache may hold non-transactional entries (the gathering cache
     /// keeps a lock holder's last stores until an XI drains them): their
     /// bytes are already in committed memory, a parked load forwards them
@@ -930,18 +1091,18 @@ impl System {
                 start,
                 steps,
                 ..
-            } if first == head => {
+            } if first == head && clock > self.wakes.stall_entry[i] => {
                 // Every recorded hit was served by the window in `head`,
                 // which is still valid: the generation is unchanged, and a
                 // page-residency change would have failed a recorded fetch.
                 let hits = steps.iter().filter(|s| s.hit).count() as u64;
-                node.spin = Spin::Parked(Park {
+                node.spin = Spin::Parked(Park::Loop(Loop {
                     c0: clock,
                     period: clock - start,
                     line: head.window.filter(|_| hits > 0).map(|w| w.0),
                     hits,
                     steps,
-                });
+                }));
                 self.wakes.parked += 1;
                 true
             }
@@ -1255,8 +1416,9 @@ impl System {
     }
 
     fn release_quiesce(&mut self, holder: usize) {
-        // Taking the quiesce woke every parked CPU, and none parks while it
-        // is held, so every clock below is current.
+        // Taking the quiesce woke every parked CPU (spinners and stalled
+        // CPUs alike), and none parks while it is held, so every clock
+        // below is current.
         debug_assert_eq!(self.wakes.parked, 0);
         self.quiesce = None;
         let t = self.hot_clock[holder];
@@ -1274,16 +1436,19 @@ impl System {
     }
 
     /// Runs until every CPU halts, parking CPUs that spin on an unchanged
-    /// line (see the crate docs); the outcome is identical to a
-    /// [`step_one`](Self::step_one) loop.
+    /// line or retry a stiff-armed access (see the crate docs); the outcome
+    /// is identical to a [`step_one`](Self::step_one) loop.
     ///
     /// # Panics
     ///
     /// Panics if more than `max_steps` instructions execute system-wide
-    /// (guards against livelock in tests) — including when only parked CPUs
-    /// are left, which spin forever on lines nothing will write again. A
+    /// (guards against livelock in tests) — including when only parked
+    /// spinners are left, which spin forever on lines nothing will write
+    /// again. A stall-parked CPU never counts as livelocked: it keeps its
+    /// heap entry at its deadline, where its reject budget runs out. A
     /// caller that catches the panic gets a consistent system: every parked
-    /// CPU is back on the heap at the loop head it parked at (see
+    /// CPU is back on the heap where it parked — a spinner at its loop
+    /// head, a stalled CPU at its first closed-form retry (see
     /// [`stop_parking`](Self::stop_parking)).
     pub fn run_until_halt(&mut self, max_steps: u64) {
         let start = self.steps;
@@ -1294,6 +1459,7 @@ impl System {
             }
         }
         self.parking = false;
+        // With the heap empty, only spinners can be left parked.
         let livelock = self.wakes.parked > 0;
         self.stop_parking();
         if livelock || self.steps - start > max_steps {
@@ -1331,8 +1497,9 @@ impl System {
     /// §II.A requires isolation against I/O too) and updates committed
     /// memory.
     pub fn io_store(&mut self, addr: Address, value: u64) {
-        // Public calls return with nothing parked, so the XIs below meet
-        // fully stepped CPUs and need no wake.
+        // Public calls return with nothing parked (no spinner and no
+        // stalled CPU), so the XIs below meet fully stepped CPUs and need
+        // no wake.
         debug_assert_eq!(self.wakes.parked, 0);
         let line = addr.line();
         let (owner, sharers) = self.fabric.holders(line);
@@ -1426,9 +1593,24 @@ impl View<'_> {
     fn wake(&mut self, j: usize) {
         if self.wakes.parked > 0 && matches!(self.nodes[j].spin, Spin::Parked(_)) {
             let bound = self.now + u64::from(j < self.cpu);
-            let woken = self.nodes[j].unpark(j, bound);
-            self.wakes.parked -= 1;
+            let woken = self.wakes.unpark(self.nodes, self.fabric, j, bound);
             self.wakes.woken.push(woken);
+        }
+    }
+
+    /// CPU `t` accepted an XI: its directory changed (and it may now have
+    /// a pending abort), so it and the CPUs stall-parked on its rejects are
+    /// woken. A spinner always accepts — it holds no transactional
+    /// footprint — and reads nothing the XI handling changed before this
+    /// wake. An XI that `t` *rejects* wakes nobody: the reject changes only
+    /// `t`'s reject count against the requester, which neither `t` nor its
+    /// waiters read.
+    fn xi_accepted(&mut self, t: usize) {
+        if self.wakes.parked > 0 {
+            self.wake(t);
+            while let Some(w) = self.wakes.waiters.pop(t) {
+                self.wake(w);
+            }
         }
     }
 
@@ -1448,7 +1630,7 @@ impl View<'_> {
         let hit = |l: LineAddr| first <= l && l <= last;
         for j in 0..self.nodes.len() {
             match &self.nodes[j].spin {
-                Spin::Parked(p) if p.line.is_some_and(hit) => self.wake(j),
+                Spin::Parked(Park::Loop(p)) if p.line.is_some_and(hit) => self.wake(j),
                 Spin::Confirm { head, .. } if head.window.is_some_and(|w| hit(w.0)) => {
                     self.nodes[j].spin = Spin::Idle;
                 }
@@ -1462,7 +1644,6 @@ impl View<'_> {
     /// aborting transactions whose footprint it carried (§III.A/§III.C).
     fn deliver_lru_xis(&mut self, xis: Vec<(CpuId, LineAddr)>) {
         for (cpu, vline) in xis {
-            self.wake(cpu.0);
             let out = self.nodes[cpu.0].cache.handle_xi(Xi {
                 kind: XiKind::Lru,
                 line: vline,
@@ -1477,6 +1658,7 @@ impl View<'_> {
             for ev in out.events {
                 self.nodes[cpu.0].engine.note_footprint_event(ev);
             }
+            self.xi_accepted(cpu.0);
         }
     }
 
@@ -1486,8 +1668,7 @@ impl View<'_> {
     /// the moment a target stiff-arms — the remaining XIs are not delivered
     /// and the caller abandons the fetch (retry or silent drop).
     fn deliver_plan_xis(&mut self, line: LineAddr, xis: Vec<(CpuId, XiKind)>) -> bool {
-        for (target, xikind) in xis {
-            self.wake(target.0);
+        for (n, (target, xikind)) in xis.into_iter().enumerate() {
             let out = self.nodes[target.0].cache.handle_xi(Xi {
                 kind: xikind,
                 line,
@@ -1499,8 +1680,10 @@ impl View<'_> {
                 self.nodes[target.0].engine.note_footprint_event(ev);
             }
             if !accepted {
+                self.wakes.rejected = (n == 0).then_some((target.0, xikind));
                 return false;
             }
+            self.xi_accepted(target.0);
         }
         true
     }

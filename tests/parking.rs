@@ -1,12 +1,14 @@
-//! Spin parking: a CPU spinning on an unchanged L1 line is taken off the
+//! Parking: a CPU spinning on an unchanged L1 line is taken off the
 //! scheduling heap and its repeated loop iterations are retired in closed
-//! form. It is a host-speed optimization with *zero* simulated effect, and
-//! these tests pin that. Each run is compared against a reference run of
-//! the same system with the step log on, which keeps parking off: the
-//! system reports (bar `parked_steps`), every core's registers, condition
-//! code, program counter, clock and instruction count, pool sums and
-//! per-CPU op cycles must all be equal — and the parked run must actually
-//! have parked.
+//! form; a CPU whose data access was stiff-armed has its identical retries
+//! retired in closed form up to its holder's reject budget. It is a
+//! host-speed optimization with *zero* simulated effect, and these tests
+//! pin that. Each run is compared against a reference run of the same
+//! system with the step log on, which keeps parking off: the system
+//! reports (bar `parked_steps`), every core's registers, condition code,
+//! program counter, clock, instruction count and stall count, pool sums
+//! and per-CPU op cycles must all be equal — and the parked run must
+//! actually have parked.
 
 use std::panic::AssertUnwindSafe;
 use ztm::core::{GrSaveMask, TbeginParams};
@@ -20,7 +22,19 @@ use ztm::workloads::pool::{PoolLayout, PoolWorkload, SyncMethod};
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     report: SystemReport,
-    cores: Vec<([u64; 16], u8, usize, u64, u64, bool)>,
+    cores: Vec<CoreEnd>,
+}
+
+/// One core's end state and its stall count.
+#[derive(Debug, PartialEq, Eq)]
+struct CoreEnd {
+    grs: [u64; 16],
+    cc: u8,
+    pc: usize,
+    clock: u64,
+    instructions: u64,
+    running: bool,
+    stalls: u64,
 }
 
 /// The outcome of `sys`, and its `parked_steps` (zeroed in the outcome).
@@ -30,7 +44,15 @@ fn outcome(sys: &System) -> (Outcome, u64) {
     let cores = (0..sys.cpus())
         .map(|i| {
             let c = sys.core(i);
-            (c.grs, c.cc, c.pc, c.clock, c.instructions, c.is_running())
+            CoreEnd {
+                grs: c.grs,
+                cc: c.cc,
+                pc: c.pc,
+                clock: c.clock,
+                instructions: c.instructions,
+                running: c.is_running(),
+                stalls: sys.stalls(i),
+            }
         })
         .collect();
     let report = SystemReport {
@@ -48,8 +70,8 @@ fn system(cfg: SystemConfig, reference: bool) -> System {
 }
 
 /// Runs one pool point twice — reference and parked — and checks they
-/// agree. Returns the parked run's `parked_steps`.
-fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64) -> u64 {
+/// agree. Returns the parked run's `parked_steps` and stall retries.
+fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64) -> (u64, u64) {
     let run = |reference: bool| {
         let wl = PoolWorkload::new(PoolLayout::new(pool, vars), method, 7);
         let mut sys = system(SystemConfig::with_cpus(cpus).seed(7), reference);
@@ -65,7 +87,7 @@ fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64)
     assert_eq!(sum, want_sum, "{point}: pool sum");
     assert_eq!(per_cpu, want_cpu, "{point}: per-CPU ops and op cycles");
     assert!(parked > 0, "{point}: nothing parked");
-    parked
+    (parked, got.report.stalls)
 }
 
 #[test]
@@ -79,7 +101,7 @@ fn coarse_lock_points_match_stepping() {
 fn coarse_lock_on_a_sparse_pool_parks_most_steps() {
     // The lock holder's pool lines miss; its spinners keep their last
     // non-transactional stores in the gathering store cache all along.
-    let parked = pool_point(SyncMethod::CoarseLock, 4, 10_000, 60, 1);
+    let (parked, _) = pool_point(SyncMethod::CoarseLock, 4, 10_000, 60, 1);
     let steps = {
         let wl = PoolWorkload::new(PoolLayout::new(10_000, 4), SyncMethod::CoarseLock, 7);
         let mut sys = System::new(SystemConfig::with_cpus(60).seed(7));
@@ -102,6 +124,157 @@ fn tbegin_fallback_points_match_stepping() {
     for (cpus, ops) in [(20, 6), (100, 1)] {
         pool_point(SyncMethod::Tbegin, 4, 10, cpus, ops);
     }
+}
+
+#[test]
+fn tbeginc_points_match_stepping() {
+    // Contended constrained transactions: most steps are stiff-armed
+    // retries, which stall-park.
+    for (cpus, ops) in [(6, 12), (20, 4), (40, 2)] {
+        pool_point(SyncMethod::Tbeginc, 4, 10, cpus, ops);
+    }
+}
+
+#[test]
+fn tbegin_points_match_stepping() {
+    for (cpus, ops) in [(6, 12), (10, 6)] {
+        pool_point(SyncMethod::Tbegin, 4, 10, cpus, ops);
+    }
+}
+
+#[test]
+fn tbeginc_at_twenty_cpus_parks_most_stalls() {
+    let (parked, stalls) = pool_point(SyncMethod::Tbeginc, 4, 10, 20, 4);
+    assert!(parked * 2 > stalls, "{parked} parked of {stalls} stalls");
+}
+
+const X: u64 = 0xA0_0000;
+const Y: u64 = 0xB0_0000;
+const W: u64 = 0xC0_0000;
+
+/// Runs `progs` (one per CPU) to the end twice — reference and parked —
+/// and checks they agree. Returns the parked run's outcome and
+/// `parked_steps`.
+fn compare(progs: &[Program]) -> (Outcome, u64) {
+    let run = |reference: bool| {
+        let mut sys = system(SystemConfig::with_cpus(progs.len()), reference);
+        for (i, p) in progs.iter().enumerate() {
+            sys.load_program(i, p);
+        }
+        sys.run_until_halt(1_000_000);
+        outcome(&sys)
+    };
+    let (want, none) = run(true);
+    let (got, parked) = run(false);
+    assert_eq!(none, 0, "the step log must keep parking off");
+    assert_eq!(got, want);
+    (got, parked)
+}
+
+/// In a transaction, stores to `mine`, then loads `theirs` and commits;
+/// on abort, halts with the abort-handler clock in R8 and R9 = 1.
+fn cross_holder(mine: u64, theirs: u64) -> Program {
+    let mut a = Assembler::new(0);
+    a.tbegin(TbeginParams::new());
+    a.jnz("aborted");
+    a.lghi(R1, 1);
+    a.stg(R1, MemOperand::absolute(mine));
+    a.delay(50);
+    a.lg(R2, MemOperand::absolute(theirs));
+    a.tend();
+    a.halt();
+    a.label("aborted");
+    a.rdclk(R8);
+    a.lghi(R9, 1);
+    a.halt();
+    a.assemble().unwrap()
+}
+
+#[test]
+fn a_cross_hold_ends_in_the_same_reject_hang() {
+    // Each CPU holds its own line tx-dirty and requests the other's:
+    // neither completes an instruction, both stall-park on each other, and
+    // only the reject budget ends it — one side's XI is accepted as a
+    // `RejectHang` (code 16) and aborts the other at the same clock and
+    // step as in the stepped reference.
+    let (got, parked) = compare(&[cross_holder(X, Y), cross_holder(Y, X)]);
+    assert_eq!(got.report.tx.aborts_by_code.get(&16), Some(&1), "{got:?}");
+    assert!(parked > 0, "nothing stall-parked");
+    let aborted: Vec<_> = got.cores.iter().filter(|c| c.grs[9] == 1).collect();
+    assert!(aborted.len() == 1 && aborted[0].grs[8] > 0, "{got:?}");
+    let threshold = u64::from(SystemConfig::with_cpus(2).geometry.xi_reject_threshold);
+    assert!(got.report.stalls > threshold, "{got:?}");
+}
+
+#[test]
+fn a_budget_panic_mid_stall_leaves_a_steppable_system() {
+    // The step budget runs out while one side of a cross-hold is still
+    // stall-parked: the panic requeues it at its first closed-form retry,
+    // retiring none, and running on reaches the stepped reference.
+    let progs = [cross_holder(X, Y), cross_holder(Y, X)];
+    let (want, _) = compare(&progs);
+    let mut sys = System::new(SystemConfig::with_cpus(2));
+    for (i, p) in progs.iter().enumerate() {
+        sys.load_program(i, p);
+    }
+    // Ten steps in, CPU 0 is still stall-parked on CPU 1.
+    std::panic::catch_unwind(AssertUnwindSafe(|| sys.run_until_halt(10)))
+        .expect_err("a 10-step budget must run out");
+    assert!(sys.report().steps < want.report.steps);
+    assert!((0..2).all(|i| sys.core(i).is_running()));
+    sys.run_until_halt(1_000_000);
+    assert_eq!(outcome(&sys).0, want);
+}
+
+#[test]
+fn an_accepted_xi_wakes_a_stalled_cpu() {
+    // CPU 0 holds X tx-dirty through a long DELAY (one step, so its reject
+    // budget against CPU 1 is not reset). CPU 1 reads W in a transaction,
+    // then stalls on X and parks. CPU 2's store to W sends CPU 1 a
+    // read-only XI it cannot reject: CPU 1 accepts it, which must wake it
+    // so that its next retry takes the conflict abort at the reference's
+    // clock — not at its deadline.
+    let holder = {
+        let mut a = Assembler::new(0);
+        a.tbegin(TbeginParams::new());
+        a.jnz("out");
+        a.lghi(R1, 1);
+        a.stg(R1, MemOperand::absolute(X));
+        a.delay(5_000);
+        a.tend();
+        a.label("out");
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let reader = {
+        let mut a = Assembler::new(0);
+        a.delay(1_000);
+        a.tbegin(TbeginParams::new());
+        a.jnz("aborted");
+        a.lg(R2, MemOperand::absolute(W));
+        a.lg(R3, MemOperand::absolute(X));
+        a.tend();
+        a.halt();
+        a.label("aborted");
+        a.rdclk(R8);
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let writer = {
+        let mut a = Assembler::new(0);
+        a.delay(1_800);
+        a.lghi(R1, 7);
+        a.stg(R1, MemOperand::absolute(W));
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let (got, parked) = compare(&[holder, reader, writer]);
+    assert!(parked > 0, "nothing stall-parked");
+    // The reader parks at ~1,660 with its deadline at ~2,280; the store
+    // to W lands at ~1,810, and the abort handler runs ~270 cycles later.
+    let reader = &got.cores[1];
+    assert!((1_800..2_300).contains(&reader.grs[8]), "{got:?}");
+    assert!(!got.report.tx.aborts_by_code.contains_key(&16), "{got:?}");
 }
 
 const LOCK: u64 = 0x80_0000;
@@ -196,7 +369,7 @@ fn tdb_store_to_a_polled_line_releases_the_pollers() {
     let (got, parked) = run(false);
     assert!(parked > 0, "the pollers never parked");
     assert_eq!(got, want);
-    assert!(got.cores[1..].iter().all(|c| c.0[9] != 0));
+    assert!(got.cores[1..].iter().all(|c| c.grs[9] != 0));
 }
 
 #[test]
