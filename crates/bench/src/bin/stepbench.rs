@@ -78,19 +78,11 @@ fn time_steps(sys: &mut System, n: u64, label: &str) {
     // Warm caches first.
     sys.step_many(100_000);
     let t = Instant::now();
-    let mut left = n;
-    while left > 0 {
-        let took = sys.step_many(left);
-        if took == 0 {
-            break;
-        }
-        left -= took;
-    }
+    let done = sys.step_many(n);
     let el = t.elapsed().as_secs_f64();
     // Report against the steps that actually executed: a program that halts
     // early would otherwise divide the elapsed time by the *requested* count
     // and print a falsely fast ns/step.
-    let done = n - left;
     if done == 0 {
         println!("{label:<28} WARNING: system halted before any timed step");
         return;
@@ -107,57 +99,8 @@ fn time_steps(sys: &mut System, n: u64, label: &str) {
     );
 }
 
-/// The superblock on/off bracket: the same system per shape, stepped with
-/// the superblock fast path engaged ("sb") and forced off ("scalar"). Also
-/// runnable on its own via `ZTM_STEPBENCH_ONLY_SUPERBLOCK=1` so CI can
-/// track the fast path's win without the whole attribution grid.
-fn superblock_bracket(n: u64) {
-    for sb in [false, true] {
-        let mode = if sb { "sb" } else { "scalar" };
-
-        let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
-        sys.set_superblocks(sb);
-        for k in 0..8 {
-            sys.io_store(Address::new(0x10_000 + k * 8), k + 1);
-        }
-        sys.load_program(0, &burst_prog());
-        time_steps(&mut sys, n, &format!("burst 1cpu {mode}"));
-
-        let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
-        sys.set_superblocks(sb);
-        sys.load_program(0, &alu_prog());
-        time_steps(&mut sys, n, &format!("alu 1cpu {mode}"));
-
-        let table = HashTable::new(256, 1024, 20, TableMethod::Elision);
-        let mut sys = System::new(SystemConfig::with_cpus(36).seed(42));
-        sys.set_superblocks(sb);
-        table.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        let prog = table.program(1_000_000);
-        sys.load_program_all(&prog);
-        for i in 0..sys.cpus() {
-            let arena = 0x2000_0000u64 + i as u64 * 0x10_0000;
-            sys.core_mut(i).set_gr(R7, arena);
-        }
-        time_steps(&mut sys, n, &format!("fig5e elision 36cpu {mode}"));
-        if sb {
-            // How much of the run the fast path actually covered — tight
-            // cross-CPU interleaves bound what superblocks can batch.
-            println!(
-                "{:<28} superblock steps: {:.1}%",
-                "",
-                sys.superblock_steps() as f64 / sys.report().steps as f64 * 100.0
-            );
-        }
-    }
-}
-
 fn main() {
     let n = 4_000_000u64;
-
-    if ztm_sim::env_flag("ZTM_STEPBENCH_ONLY_SUPERBLOCK") {
-        superblock_bracket(n);
-        return;
-    }
 
     // 1. Bare spin, one CPU: interpreter + memory path, trivial scheduler.
     let mut sys = System::new(SystemConfig::with_cpus(1).seed(42));
@@ -334,10 +277,6 @@ fn main() {
         sys.core_mut(i).set_gr(R7, arena);
     }
     time_steps(&mut sys, n, "fig5e elision 36cpu serial");
-
-    // 5f. Superblock stepping on/off across three shapes: the dispatch-floor
-    // attribution behind DESIGN.md's "Superblock stepping" numbers.
-    superblock_bracket(n);
 
     // 6. Coalescing × tracing attribution grid. Two memory shapes — the
     // same-line burst (where the line window serves 7 of 8 loads) and

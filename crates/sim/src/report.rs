@@ -59,8 +59,8 @@ pub struct SystemReport {
     /// XIs sent, by kind: `[exclusive, demote, read-only, lru]`.
     pub xi_counts: [u64; 4],
     /// Data accesses served by the line-window coalescing fast path without
-    /// a directory walk (zero under `ZTM_NO_COALESCE=1`). A host-speed
-    /// statistic: coalescing changes no simulated outcome.
+    /// a directory walk (zero after `System::set_coalescing(false)`). A
+    /// host-speed statistic: coalescing changes no simulated outcome.
     pub coalesced_accesses: u64,
     /// Steps retired in closed form by parking: spin-loop iterations and
     /// stiff-armed stall retries (zero for runs that never park: anything

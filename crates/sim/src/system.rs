@@ -173,9 +173,9 @@ pub struct TraceRecord {
 
 /// One entry of the lightweight step log (see [`System::set_step_log`]):
 /// which CPU stepped at which pre-step clock, what the step did, and how
-/// many cycles it took. Every stepping mode (superblocks, coalescing,
-/// the legacy interpreter) must produce identical logs — the lockstep
-/// differentials in `tests/` diff them.
+/// many cycles it took. Every stepping mode (coalescing, the legacy
+/// interpreter, the issue window at width 1) must produce identical logs —
+/// the lockstep differentials in `tests/` diff them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepLogEntry {
     /// The CPU's local clock before the step.
@@ -270,31 +270,11 @@ pub struct System {
     /// (see `ztm_isa::step_pipelined`).
     pipeline: Option<PipelineState>,
     /// Same-line access coalescing (the line-window fast path in
-    /// `View::prepare`). On by default; `ZTM_NO_COALESCE=1` or
+    /// `View::prepare`). On by default; the test hook
     /// [`set_coalescing`](Self::set_coalescing) forces every data access
     /// through the full directory walk. Results are identical either way —
     /// only host speed differs (pinned by `tests/coalesce.rs`).
     coalesce: bool,
-    /// Superblock stepping (the straight-line batched fast path in
-    /// [`exec_block`](Self::exec_block)). On by default; `ZTM_NO_SUPERBLOCK=1`
-    /// or [`set_superblocks`](Self::set_superblocks) forces every instruction
-    /// through the scalar [`exec_step`](Self::exec_step) path. Results are
-    /// identical either way — only host speed differs (pinned by
-    /// `tests/superblock.rs`).
-    superblocks: bool,
-    /// Steps retired through the superblock fast path (host-speed
-    /// statistics only — the differential tests use it to prove the fast
-    /// path actually engaged).
-    superblock_steps: u64,
-    /// Per-CPU scalar-path cooldown for superblock probing. When a block
-    /// breaks after a single step (tightly interleaved clocks: another
-    /// CPU's heap entry bounds every block to one instruction, as in the
-    /// contended 36-CPU brackets), the pop + push heap maintenance costs
-    /// more than the scalar path's in-place top refresh — so the next
-    /// [`SB_COOLDOWN`] eligible picks step scalar before the fast path is
-    /// probed again. Purely a host-speed heuristic; the executed schedule
-    /// is identical either way.
-    sb_cooldown: Vec<u32>,
     /// Optional full step log ([`set_step_log`](Self::set_step_log)) — the
     /// differential-test hook proving every stepping mode retires the same
     /// step order.
@@ -374,9 +354,7 @@ impl System {
             hot_clock: vec![0; cpus],
             hot_running: vec![true; cpus],
             hot_dirty: false,
-            // Debug lever: `ZTM_LEGACY_INTERP=1` routes every system through
-            // the legacy walk (results are identical, only speed differs).
-            use_legacy_interpreter: crate::env_flag("ZTM_LEGACY_INTERP"),
+            use_legacy_interpreter: false,
             programs: vec![None; cpus],
             quiesce: None,
             ready: BinaryHeap::with_capacity(cpus + 1),
@@ -388,14 +366,7 @@ impl System {
             steps: 0,
             pipeline: issue_width(crate::env_usize("ZTM_ISSUE_WIDTH"))
                 .map(|w| PipelineState::new(w, cpus, config.latency.lsu_ports)),
-            // Escape hatch: `ZTM_NO_COALESCE=1` disables the line-window
-            // fast path.
-            coalesce: !crate::env_flag("ZTM_NO_COALESCE"),
-            // Escape hatch: `ZTM_NO_SUPERBLOCK=1` disables superblock
-            // stepping (every instruction is its own scheduler event).
-            superblocks: !crate::env_flag("ZTM_NO_SUPERBLOCK"),
-            superblock_steps: 0,
-            sb_cooldown: vec![0; cpus],
+            coalesce: true,
             step_log: None,
             parking: false,
             wakes: Wakes {
@@ -449,15 +420,16 @@ impl System {
     /// Selects the interpreter: `true` routes steps through the original
     /// `Instr`-enum walk ([`ztm_isa::step_legacy`]), `false` (the default)
     /// through the predecoded micro-op dispatch. Both must produce
-    /// identical outcomes — the differential tests flip this switch.
+    /// identical outcomes — a test hook: the differential tests flip this
+    /// switch to use the legacy walk as the reference.
     pub fn set_legacy_interpreter(&mut self, legacy: bool) {
         self.use_legacy_interpreter = legacy;
     }
 
-    /// Enables or disables same-line access coalescing (on by default;
-    /// `ZTM_NO_COALESCE=1` starts systems with it off). Either setting
-    /// produces byte-identical simulations — the lockstep differential in
-    /// `tests/coalesce.rs` pins that — so this is a speed/debug lever, not a
+    /// Enables or disables same-line access coalescing (on by default).
+    /// Either setting produces byte-identical simulations — the lockstep
+    /// differential in `tests/coalesce.rs` pins that — so this is a test
+    /// hook that makes the full directory walk the reference, not a
     /// behavior switch.
     pub fn set_coalescing(&mut self, on: bool) {
         self.coalesce = on;
@@ -466,25 +438,6 @@ impl System {
                 n.last_data = None;
             }
         }
-    }
-
-    /// Enables or disables superblock stepping (on by default;
-    /// `ZTM_NO_SUPERBLOCK=1` starts systems with it off). When on, the
-    /// serial scheduler retires a whole straight-line decoded region
-    /// ([`Program::superblock_end`]) as one scheduler event, hoisting the
-    /// per-step timer/PER/diag tests, view construction, hot-mirror
-    /// writeback, and heap maintenance out of the per-instruction loop.
-    /// Either setting produces byte-identical simulations — the lockstep
-    /// differential in `tests/superblock.rs` pins that — so this is a
-    /// speed/debug lever, not a behavior switch.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
-    }
-
-    /// Steps retired through the superblock fast path so far (zero when
-    /// disabled or when every block bails to the scalar path).
-    pub fn superblock_steps(&self) -> u64 {
-        self.superblock_steps
     }
 
     /// Sets the in-order issue width (§II.B: the zEC12 core decodes three
@@ -677,16 +630,66 @@ impl System {
         }
     }
 
-    /// Steps the runnable CPU with the smallest local clock. Returns the
-    /// CPU index and outcome, or `None` when every CPU has halted.
+    /// Steps the runnable CPU with the smallest local clock — or the
+    /// broadcast-stop holder, which is scheduled outside the heap. Returns
+    /// the CPU index and outcome, or `None` when every CPU has halted. This
+    /// is the only code that picks a CPU: `run_until_halt`, `step_many` and
+    /// `run_for_cycles` are loops over it.
     pub fn step_one(&mut self) -> Option<(usize, StepOutcome)> {
-        self.step_upto(1)
+        if self.hot_dirty {
+            self.sync_hot();
+        }
+        // `my_entry` is the (still-enqueued) heap entry the CPU was
+        // scheduled from; a broadcast-stop holder bypasses the heap.
+        let (i, my_entry) = match self.quiesce {
+            Some(holder) if self.hot_running[holder] => (holder, None),
+            _ => {
+                self.quiesce = None;
+                let entry = self.peek_fresh_entry()?;
+                (Self::unpack_entry(entry).1, Some(entry))
+            }
+        };
+        let (out, parked) = if self.parking {
+            self.exec_step_parking(i)
+        } else {
+            (self.exec_step(i), false)
+        };
+        // Keep this CPU's heap entry fresh. While it holds the quiesce it is
+        // scheduled directly (its stale entry is skipped lazily), so pushing
+        // waits until the quiesce releases — the release path falls through
+        // here. When the CPU was scheduled from the heap and its (now stale)
+        // entry is still on top, refresh it in place: one sift-down instead
+        // of a pop + push. (A release_quiesce or a wake above may have
+        // pushed other entries, so the top is re-checked rather than
+        // assumed.) A CPU that just parked leaves the heap until it is woken.
+        if self.quiesce != Some(i) && self.hot_running[i] && !parked {
+            let fresh = Reverse(Self::pack_entry(self.hot_clock[i], i));
+            let mut replaced = false;
+            if let Some(mut top) = self.ready.peek_mut() {
+                if Some(top.0) == my_entry {
+                    *top = fresh;
+                    replaced = true;
+                }
+            }
+            if !replaced {
+                self.ready.push(fresh);
+            }
+        } else if let Some(entry) = my_entry {
+            // The stepped CPU halted, parked or took the quiesce: drop its
+            // entry eagerly while it is still (usually) on top.
+            if let Some(top) = self.ready.peek_mut() {
+                if top.0 == entry {
+                    std::collections::binary_heap::PeekMut::pop(top);
+                }
+            }
+        }
+        Some((i, out))
     }
 
     /// Executes exactly one instruction on CPU `i` and performs every
     /// per-step obligation: timer interruptions, tracing, the hot-mirror
     /// writeback, statistics, and broadcast-stop quiesce management.
-    /// Scheduling (heap maintenance) is the caller's job.
+    /// [`step_one`](Self::step_one) picks `i` and maintains the heap.
     fn exec_step(&mut self, i: usize) -> StepOutcome {
         // Timer interruptions (abort any running transaction, §II.A).
         if let Some(t) = self.config.timer_interval {
@@ -1122,299 +1125,6 @@ impl System {
         }
     }
 
-    /// Scalar picks to take after a degenerate superblock before probing
-    /// the fast path again on that CPU. High enough that tight interleaves
-    /// pay block overhead on ~6 % of picks at worst, low enough that a CPU
-    /// whose neighbors halt or diverge re-engages quickly.
-    const SB_COOLDOWN: u32 = 15;
-
-    /// Steps a superblock must retire before the pop + push it costs over
-    /// the scalar path's in-place heap refresh pays for itself. Blocks
-    /// statically shorter than this are skipped outright
-    /// ([`block_eligible`](Self::block_eligible)); statically long blocks
-    /// that get *cut* below it trigger the cooldown. Measured on the
-    /// contended 36-CPU stepbench brackets, where cross-CPU stop keys
-    /// bound most blocks to one or two steps.
-    const SB_MIN_RUN: u64 = 4;
-
-    /// Whether CPU `i`'s next pick may route through the superblock fast
-    /// path ([`exec_block`](Self::exec_block)). Conservative: anything the
-    /// block loop does not replicate from [`exec_step`](Self::exec_step) —
-    /// issue windows, the legacy walk, the disassembling step trace, a due
-    /// (or arming-distance) timer tick, armed PER controls, a pending abort
-    /// — falls back to the scalar path. These are exactly the per-step
-    /// tests the block loop hoists: checked once per block here instead of
-    /// once per instruction.
-    #[inline]
-    fn block_eligible(&self, i: usize) -> bool {
-        self.superblocks
-            && self.pipeline.is_none()
-            && !self.use_legacy_interpreter
-            && !self.traced[i]
-            && !self.cores[i].per.enabled
-            && self.nodes[i].engine.pending_abort().is_none()
-            // A structurally short block (a branch or TX boundary within a
-            // few instructions of pc) cannot amortize the fast path's heap
-            // churn — skip it outright, *without* burning the cooldown:
-            // shortness here is a property of this pc, not of the regime,
-            // and the long block right after it should still batch.
-            && {
-                let pc = self.cores[i].pc;
-                match self.programs[i].as_deref() {
-                    Some(p) => p.superblock_end(pc) >= pc + Self::SB_MIN_RUN as usize,
-                    None => false,
-                }
-            }
-            && match self.config.timer_interval {
-                Some(t) => self.hot_clock[i] < self.nodes[i].last_timer + t,
-                None => true,
-            }
-    }
-
-    /// Executes up to one superblock's worth of instructions on CPU `i` as
-    /// a single scheduler event, hoisting every per-step obligation that
-    /// [`exec_step`](Self::exec_step) pays per instruction — the timer
-    /// test, view construction, the traced/pipeline branches, hot-mirror
-    /// writeback, and (in the caller) heap maintenance — out of the loop.
-    /// Per instruction only the pre-step tracer clock, the step itself,
-    /// and the optional step-log push remain, so the emitted event stream,
-    /// the step log, and every `StepOutcome` are byte-identical to scalar
-    /// stepping.
-    ///
-    /// The loop stops — *before* executing the next instruction — when
-    /// that instruction would not be the serial scheduler's pick or would
-    /// cross a stopping rule, keeping `step_many`/`run_for_cycles`
-    /// semantics exact:
-    ///
-    /// * the block's static end ([`Program::superblock_end`]), or any step
-    ///   that leaves the straight line (branch taken, fault-retry);
-    /// * any outcome other than a plain `Executed` (stall, abort, commit,
-    ///   halt) — handled by the scalar epilogue below, exactly as
-    ///   `exec_step` would;
-    /// * `stop_key`: the packed `(clock, cpu)` key at which another CPU
-    ///   becomes the scheduler's pick (other CPUs' clocks cannot move
-    ///   while this CPU steps, so the bound computed at block entry stays
-    ///   exact);
-    /// * the step budget (`step_many`), the cycle horizon
-    ///   (`run_for_cycles`, pre-step clock), and the next due timer tick.
-    ///
-    /// Returns how many instructions retired (≥ 1) and the last outcome.
-    fn exec_block(
-        &mut self,
-        i: usize,
-        stop_key: u64,
-        budget: u64,
-        horizon: u64,
-    ) -> (u64, StepOutcome) {
-        // Only a parking run parks, and it steps one instruction per pick,
-        // which never takes a block: no step here can wake anyone.
-        debug_assert!(!self.parking && self.wakes.parked == 0);
-        let timer_stop = match self.config.timer_interval {
-            Some(t) => self.nodes[i].last_timer + t,
-            None => u64::MAX,
-        };
-        let prog: &Arc<Program> = self.programs[i].as_ref().expect("program loaded");
-        let tracer_on = self.tracer.is_enabled();
-        let core = &mut self.cores[i];
-        let mut clock = core.clock;
-        let mut idx = core.pc;
-        let end = prog.superblock_end(idx);
-        let mut view = View {
-            cpu: i,
-            now: clock,
-            tracer: &self.tracer,
-            nodes: &mut self.nodes,
-            fabric: &mut self.fabric,
-            mem: &mut self.mem,
-            pages: &mut self.pages,
-            fabric_busy: &mut self.fabric_busy,
-            config: &self.config,
-            coalesce: self.coalesce,
-            hit_slot: None,
-            wakes: &mut self.wakes,
-        };
-        let mut executed = 0u64;
-        let out = loop {
-            if tracer_on {
-                view.tracer.set_clock(clock);
-            }
-            view.now = clock;
-            let out = ztm_isa::step(core, prog, &mut view);
-            executed += 1;
-            if let Some(log) = self.step_log.as_mut() {
-                log.push(StepLogEntry {
-                    clock,
-                    cpu: i,
-                    event: out.event,
-                    cycles: out.cycles,
-                });
-            }
-            if out.event != StepEvent::Executed {
-                break out;
-            }
-            // Stay on the straight line: a taken branch leaves it, and a
-            // handled-fault retry re-runs the same index (let the scalar
-            // path take that rare step so one loop iteration maps to one
-            // retired instruction).
-            let next = core.pc;
-            if next != idx + 1 || next >= end {
-                break out;
-            }
-            idx = next;
-            clock = core.clock;
-            if executed >= budget
-                || clock >= horizon
-                || clock >= timer_stop
-                || Self::pack_entry(clock, i) >= stop_key
-            {
-                break out;
-            }
-        };
-        self.hot_clock[i] = self.cores[i].clock;
-        self.hot_running[i] = self.cores[i].is_running();
-        self.steps += executed;
-        self.superblock_steps += executed;
-        // Scalar epilogue for the bail-out step, mirroring `exec_step`
-        // (the quiesce was free at block entry, so only this CPU's own
-        // broadcast-stop can have claimed it).
-        if out.event == StepEvent::Stalled {
-            self.nodes[i].stalls += 1;
-        }
-        if out.broadcast_stop {
-            self.quiesce = Some(i);
-        }
-        if self.quiesce == Some(i) && !self.hot_running[i] {
-            self.release_quiesce(i);
-        }
-        (executed, out)
-    }
-
-    /// Steps up to `limit` instructions, returning the last `(cpu, outcome)`
-    /// (`None` when every CPU has halted before the first step).
-    ///
-    /// All steps of one call execute on consecutively-scheduled CPUs in
-    /// exactly the order a `step_one` loop would produce: after each step the
-    /// batch only continues while the just-stepped CPU is *still* the
-    /// scheduler's next pick — its refreshed entry sits on top of the heap
-    /// (ties and staleness resolve identically: packed entries are unique
-    /// per CPU and the refreshed entry is fresh by construction), or it
-    /// still holds the broadcast-stop quiesce. Anything else falls back to
-    /// the full scheduling pick on the next call. Batching only amortizes
-    /// the pick itself; every per-step obligation (timer, tracing, quiesce
-    /// management, heap refresh) runs inside the loop — or once per
-    /// superblock when the fast path is eligible.
-    fn step_upto(&mut self, limit: u64) -> Option<(usize, StepOutcome)> {
-        self.step_upto_bounded(limit, u64::MAX)
-    }
-
-    /// [`step_upto`](Self::step_upto) with a cycle horizon: no step whose
-    /// pre-step clock is `>= horizon` is executed (the `run_for_cycles`
-    /// stopping rule, applied inside the batch and inside superblocks).
-    /// The caller guarantees the first pick's clock is below `horizon`.
-    fn step_upto_bounded(&mut self, limit: u64, horizon: u64) -> Option<(usize, StepOutcome)> {
-        if self.hot_dirty {
-            self.sync_hot();
-        }
-        // `my_entry` is the (still-enqueued) heap entry the CPU was
-        // scheduled from; a broadcast-stop holder bypasses the heap.
-        let (i, mut my_entry) = match self.quiesce {
-            Some(holder) if self.hot_running[holder] => (holder, None),
-            _ => {
-                self.quiesce = None;
-                let entry = self.peek_fresh_entry()?;
-                (Self::unpack_entry(entry).1, Some(entry))
-            }
-        };
-        let mut done = 0u64;
-        loop {
-            // A block the budget cuts below `SB_MIN_RUN` steps (every
-            // `step_one`, so every `run_until_halt`) cannot pay for its
-            // heap churn: step it scalar.
-            let (out, parked) = if my_entry.is_some()
-                && limit - done >= Self::SB_MIN_RUN
-                && self.sb_cooldown[i] == 0
-                && self.block_eligible(i)
-            {
-                // Superblock fast path. The CPU's own (fresh) entry is on
-                // top of the heap; pop it so the next-best fresh entry
-                // bounds how far the block may run before another CPU
-                // becomes the scheduler's pick.
-                self.ready.pop();
-                my_entry = None;
-                let stop_key = self.peek_fresh_entry().unwrap_or(u64::MAX);
-                let (k, out) = self.exec_block(i, stop_key, limit - done, horizon);
-                if k < Self::SB_MIN_RUN {
-                    // A statically long block got cut short dynamically — a
-                    // tight cross-CPU interleave or a stall-heavy stretch
-                    // broke it before enough steps amortized the fast
-                    // path's heap churn (a pop + push instead of the scalar
-                    // path's in-place top refresh). That regime outlives
-                    // one pick: step scalar for a while, then probe again.
-                    self.sb_cooldown[i] = Self::SB_COOLDOWN;
-                }
-                done += k;
-                (out, false)
-            } else {
-                if my_entry.is_some() && self.sb_cooldown[i] > 0 {
-                    self.sb_cooldown[i] -= 1;
-                }
-                done += 1;
-                if self.parking {
-                    self.exec_step_parking(i)
-                } else {
-                    (self.exec_step(i), false)
-                }
-            };
-            // Keep this CPU's heap entry fresh. While it holds the quiesce
-            // it is scheduled directly (its stale entry is skipped lazily),
-            // so pushing waits until the quiesce releases — the release path
-            // falls through here. When the CPU was scheduled from the heap
-            // and its (now stale) entry is still on top, refresh it in
-            // place: one sift-down instead of a pop + push. (A
-            // release_quiesce or a wake above may have pushed other
-            // entries, so the top is re-checked rather than assumed.) A CPU
-            // that just parked leaves the heap until it is woken.
-            if self.quiesce != Some(i) && self.hot_running[i] && !parked {
-                let fresh = Reverse(Self::pack_entry(self.hot_clock[i], i));
-                let mut replaced = false;
-                if let Some(mut top) = self.ready.peek_mut() {
-                    if Some(top.0) == my_entry {
-                        *top = fresh;
-                        replaced = true;
-                    }
-                }
-                if !replaced {
-                    self.ready.push(fresh);
-                }
-            } else if let Some(entry) = my_entry {
-                // The stepped CPU halted, parked or took the quiesce: drop
-                // its entry eagerly while it is still (usually) on top.
-                if let Some(top) = self.ready.peek_mut() {
-                    if top.0 == entry {
-                        std::collections::binary_heap::PeekMut::pop(top);
-                    }
-                }
-            }
-            if done >= limit || self.hot_clock[i] >= horizon || parked {
-                return Some((i, out));
-            }
-            // Batch continuation: same CPU only, and only when it is
-            // unambiguously the next pick.
-            if self.quiesce == Some(i) && self.hot_running[i] {
-                my_entry = None;
-                continue;
-            }
-            if self.quiesce.is_none() && self.hot_running[i] {
-                let fresh = Self::pack_entry(self.hot_clock[i], i);
-                if self.ready.peek() == Some(&Reverse(fresh)) {
-                    my_entry = Some(fresh);
-                    continue;
-                }
-            }
-            return Some((i, out));
-        }
-    }
-
     fn release_quiesce(&mut self, holder: usize) {
         // Taking the quiesce woke every parked CPU (spinners and stalled
         // CPUs alike), and none parks while it is held, so every clock
@@ -1453,7 +1163,7 @@ impl System {
     pub fn run_until_halt(&mut self, max_steps: u64) {
         let start = self.steps;
         self.parking = self.parking_allowed();
-        while self.step_upto(1).is_some() {
+        while self.step_one().is_some() {
             if self.steps - start > max_steps {
                 break;
             }
@@ -1467,28 +1177,22 @@ impl System {
         }
     }
 
-    /// Steps up to `limit` instructions (batched scheduling, see
-    /// [`step_upto`](Self::step_upto)), returning how many executed —
-    /// 0 means every CPU has halted.
+    /// Steps up to `limit` instructions through [`step_one`](Self::step_one),
+    /// returning how many executed: `limit` unless every CPU halts first,
+    /// and 0 when every CPU has already halted.
     pub fn step_many(&mut self, limit: u64) -> u64 {
-        let before = self.steps;
-        if self.step_upto(limit).is_none() {
-            return 0;
+        let mut done = 0;
+        while done < limit && self.step_one().is_some() {
+            done += 1;
         }
-        self.steps - before
+        done
     }
 
-    /// Runs until every running CPU's clock reaches `horizon` (or all halt).
+    /// Runs until every running CPU's clock reaches `horizon` (or all halt):
+    /// no step whose pre-step clock is `>= horizon` executes.
     pub fn run_for_cycles(&mut self, horizon: u64) {
-        loop {
-            match self.peek_next_clock() {
-                Some(t) if t < horizon => {
-                    if self.step_upto_bounded(u64::MAX, horizon).is_none() {
-                        return;
-                    }
-                }
-                _ => return,
-            }
+        while self.peek_next_clock().is_some_and(|t| t < horizon) {
+            self.step_one();
         }
     }
 
@@ -1818,9 +1522,8 @@ impl View<'_> {
         //   they run here exactly as the full walk runs them.
         //
         // Only the `Access` trace event remains observable; emit it and skip
-        // the walk. `ZTM_NO_COALESCE=1` (or `set_coalescing(false)`) forces
-        // the full walk; `tests/coalesce.rs` pins both paths to each other
-        // per-step. A window can only exist while coalescing is enabled
+        // the walk. `set_coalescing(false)` forces the full walk;
+        // `tests/coalesce.rs` pins both paths to each other per-step. A window can only exist while coalescing is enabled
         // (arming is gated and `set_coalescing(false)` clears them), so the
         // window presence check doubles as the switch check.
         if let Some(w) = self.nodes[self.cpu].last_data {

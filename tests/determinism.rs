@@ -132,8 +132,8 @@ fn bank_run(drive: impl FnOnce(&mut System)) -> (Vec<StepLogEntry>, String) {
     (sys.take_step_log(), report)
 }
 
-/// `step_many` budgets cut scheduler batches and superblocks wherever they
-/// land; any chunking must retire the identical step sequence.
+/// `step_many` budgets end wherever they land; any chunking must retire
+/// the identical step sequence.
 #[test]
 fn step_budget_boundaries_do_not_disturb_the_sequence() {
     let whole = bank_run(|sys| sys.run_until_halt(10_000_000));

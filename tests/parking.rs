@@ -470,3 +470,184 @@ fn run_until_halt_panics_past_max_steps() {
     sys.load_program(0, &a.assemble().unwrap());
     sys.run_until_halt(1);
 }
+
+/// The fuzzer's data lines (two), and the shared counter its lock and
+/// transaction sections update.
+const DATA: u64 = 0xD0_0000;
+const SHARED: u64 = 0xD1_0000;
+
+/// Lowers a random op stream into CPU `cpu`'s halting program. The body
+/// holds access and ALU bursts over the two data lines, transaction
+/// begin/end, forward-only conditional branches (labels sit at every op
+/// boundary, so targets land anywhere ahead), Figure 1 lock sections and
+/// contended TBEGINC and TBEGIN read-modify-writes of `SHARED`; a bounded
+/// outer `brctg` loop re-runs it a few times. CPU 0 raises `FLAG` after
+/// `lead` cycles, and every other CPU polls it before starting, so
+/// multi-CPU cases start with spinners — and then contend on the lock and
+/// `SHARED`.
+fn random_program(cpu: usize, lead: u64, ops: &[(u8, u8)]) -> Program {
+    let mut a = Assembler::new(0);
+    if cpu == 0 {
+        a.delay(lead);
+        a.lghi(R1, 1);
+        a.stg(R1, MemOperand::absolute(FLAG));
+    } else {
+        a.label("flag");
+        a.ltg(R1, MemOperand::absolute(FLAG));
+        a.jnz("go");
+        a.delay(24);
+        a.j("flag");
+        a.label("go");
+    }
+    let mut depth = 0u32;
+    a.lghi(R6, 3);
+    a.label("loop");
+    for (j, &(kind, off)) in ops.iter().enumerate() {
+        a.label(&format!("p{j}"));
+        let at = |base: u64| MemOperand::absolute(base + (off % 32) as u64 * 8);
+        let shared = MemOperand::absolute(SHARED);
+        match kind {
+            0 => {
+                a.lg(R1, at(DATA));
+            }
+            1 => {
+                a.stg(R1, at(DATA));
+            }
+            2 => {
+                a.lg(R2, at(DATA + 0x100));
+            }
+            3 => {
+                a.stg(R2, at(DATA + 0x100));
+            }
+            4 => {
+                a.tbegin(TbeginParams::new());
+                depth += 1;
+            }
+            5 if depth > 0 => {
+                a.tend();
+                depth -= 1;
+            }
+            6 if depth == 0 => {
+                // Forward-only branch (the program always halts): keyed on
+                // the outer loop counter, so the same site is taken in
+                // early iterations and falls through in the last one. Only
+                // outside a transaction, so a skipped TEND cannot leave one
+                // open around a lock section: a transaction spinning on the
+                // lock would stiff-arm its holder forever.
+                let t = j + 1 + off as usize % (ops.len() - j);
+                if t < ops.len() {
+                    a.cgij_ge(R6, 2, &format!("p{t}"));
+                } else {
+                    a.cgij_ge(R6, 2, "end");
+                }
+            }
+            7 if depth == 0 => {
+                // Lock section: wait for the lock, take it, update, release.
+                let (wait, take) = (format!("w{j}"), format!("t{j}"));
+                a.label(&wait);
+                a.ltg(R4, MemOperand::absolute(LOCK));
+                a.jz(&take);
+                a.delay(24);
+                a.j(&wait);
+                a.label(&take);
+                a.lghi(R4, 0);
+                a.lghi(R5, 1);
+                a.csg(R4, R5, MemOperand::absolute(LOCK));
+                a.jnz(&wait);
+                a.lg(R5, shared);
+                a.aghi(R5, 1);
+                a.stg(R5, shared);
+                a.lghi(R4, 0);
+                a.stg(R4, MemOperand::absolute(LOCK));
+            }
+            8 if depth == 0 => {
+                a.tbeginc(GrSaveMask::ALL);
+                a.lg(R5, shared);
+                a.aghi(R5, 1);
+                a.stg(R5, shared);
+                a.tend();
+            }
+            9 if depth == 0 => {
+                let out = format!("x{j}");
+                a.tbegin(TbeginParams::new());
+                a.jnz(&out);
+                a.lg(R5, shared);
+                a.aghi(R5, 1);
+                a.stg(R5, shared);
+                a.tend();
+                a.label(&out);
+            }
+            _ => {
+                a.aghi(R3, 1);
+            }
+        }
+    }
+    a.label("end");
+    while depth > 0 {
+        a.tend();
+        depth -= 1;
+    }
+    a.brctg(R6, "loop");
+    a.halt();
+    a.assemble().expect("random program assembles")
+}
+
+/// Every doubleword of the lines the fuzzer's programs touch.
+fn touched_memory(sys: &System) -> Vec<u64> {
+    [DATA, DATA + 0x100, SHARED, LOCK, FLAG]
+        .iter()
+        .flat_map(|&line| (0..32).map(move |k| line + k * 8))
+        .map(|addr| sys.mem().load_u64(Address::new(addr)))
+        .collect()
+}
+
+/// Random programs over one to four CPUs must reach the same outcome and
+/// memory through `run_until_halt`, which parks, as through a step-logged
+/// `step_one` loop, which does not — and enough cases must park that the
+/// comparison is not vacuous.
+#[test]
+fn random_programs_agree_with_stepping() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    const CASES: u64 = 96;
+    let mut rng = SmallRng::seed_from_u64(0x9A4C);
+    let mut parking_cases = 0;
+    for case in 0..CASES {
+        let len = rng.gen_range(1..80usize);
+        let ops: Vec<(u8, u8)> = (0..len)
+            .map(|_| (rng.gen_range(0..12u8), rng.gen_range(0..=255u8)))
+            .collect();
+        let cpus = rng.gen_range(1..5usize);
+        let lead = rng.gen_range(0..2_000u64);
+        let progs: Vec<Program> = (0..cpus).map(|i| random_program(i, lead, &ops)).collect();
+        let load = || {
+            let mut sys = System::new(SystemConfig::with_cpus(cpus).seed(case));
+            for (i, p) in progs.iter().enumerate() {
+                sys.load_program(i, p);
+            }
+            sys
+        };
+        let mut stepped = load();
+        stepped.set_step_log(true);
+        let mut steps = 0u64;
+        while stepped.step_one().is_some() {
+            steps += 1;
+            assert!(steps < 2_000_000, "case {case}: failed to halt");
+        }
+        let mut parked = load();
+        parked.run_until_halt(2_000_000);
+        let (want, none) = outcome(&stepped);
+        let (got, parked_steps) = outcome(&parked);
+        assert_eq!(none, 0, "case {case}: the step log must keep parking off");
+        assert_eq!(got, want, "case {case}: {cpus} CPUs, ops {ops:?}");
+        assert_eq!(
+            touched_memory(&parked),
+            touched_memory(&stepped),
+            "case {case}: memory"
+        );
+        parking_cases += u64::from(parked_steps > 0);
+    }
+    assert!(
+        parking_cases * 3 >= CASES * 2,
+        "only {parking_cases} of {CASES} cases parked"
+    );
+}
