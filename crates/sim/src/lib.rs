@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 mod config;
-mod park;
 mod report;
 mod system;
 
