@@ -81,9 +81,7 @@ fn main() {
         top_row = row;
     }
     // The printed figure, exported verbatim so `results/plot_fig5e_full.py`
-    // can render it offline. Series names are distinct from the headline
-    // keys below (the digest-only artifact diff grep-extracts headline
-    // lines by key, which must stay unique per file).
+    // can render it offline.
     let sweep_table = SweepTable {
         x: "cpus",
         series: &[

@@ -12,44 +12,25 @@
 
 use std::time::Instant;
 use ztm_bench::{
-    bench_tag, cpu_counts, digest_only, full, ops_for, print_header, print_row, quick, sweep,
-    system_config, write_bench_json_digest, write_bench_json_sweep, SweepTable, Timing,
+    bench_tag, cpu_counts, full, ops_for, print_header, print_row, quick, sweep, system_config,
+    write_bench_json_sweep, SweepTable, Timing,
 };
 use ztm_sim::System;
 use ztm_trace::{Recorder, Tracer};
 use ztm_workloads::hashtable::{HashTable, TableMethod};
 
-/// Parses `ZTM_FIG5E_THREADS=a,b,c`, skipping empty segments (so trailing
-/// commas like `"36,"` are fine) and naming the offending token on error.
-fn parse_threads(list: &str) -> Vec<usize> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                panic!("ZTM_FIG5E_THREADS: expected a list of thread counts, bad token {s:?}")
-            })
-        })
-        .collect()
-}
-
 fn main() {
     println!("Fig 5(e): java/util/Hashtable-style lock elision (20% puts)");
     println!("(throughput normalized to 1 thread under the global lock)");
     println!();
-    // `ZTM_FIG5E_THREADS=a,b,c` overrides the sweep (e.g. a single 36-CPU
-    // point for scheduler-scaling measurements).
-    let threads: Vec<usize> = match std::env::var("ZTM_FIG5E_THREADS") {
-        Ok(list) => parse_threads(&list),
+    let threads: Vec<usize> = if full() {
         // Full-topology tier: elide across the whole 144-CPU machine.
-        Err(_) if full() => cpu_counts(),
-        Err(_) if quick() => vec![1, 2, 4, 6],
-        Err(_) => vec![1, 2, 3, 4, 5, 6, 7, 8],
+        cpu_counts()
+    } else if quick() {
+        vec![1, 2, 4, 6]
+    } else {
+        vec![1, 2, 3, 4, 5, 6, 7, 8]
     };
-    assert!(
-        !threads.is_empty(),
-        "ZTM_FIG5E_THREADS: no thread counts given"
-    );
     // One sweep point per (method, thread-count) cell, plus the 1-thread
     // global-lock normalization base at index 0 and the 1-CPU unsync IPC
     // point at the end; each worker times its run so the exported timing
@@ -90,9 +71,7 @@ fn main() {
         rows.push((n, vec![lock_top, elision_top, unsync_top]));
     }
     // The printed figure, exported verbatim so `results/plot_fig5e_full.py`
-    // can render it offline. Named "cpus"/"lock"/... — the digest-only
-    // artifact diff grep-extracts headline keys like "threads", which must
-    // stay unique in this file.
+    // can render it offline.
     let sweep_table = SweepTable {
         x: "cpus",
         series: &["lock", "elision", "unsync"],
@@ -103,10 +82,7 @@ fn main() {
     let ipc = results.last().unwrap().1.ipc();
     println!("\nmeasured IPC (1-CPU unsync row): {ipc:.3}");
     // Re-run the widest elision point traced for the metrics trajectory
-    // (serial: the recorder is thread-local by construction). Under
-    // `ZTM_DIGEST_ONLY=1` the re-run attaches the digest-only sink instead:
-    // same event stream, same digest, no ring or metrics — the artifact
-    // carries just the digest + event count for CI to diff.
+    // (serial: the recorder is thread-local by construction).
     let top = *threads.last().unwrap();
     let headlines = [
         ("threads", top as f64),
@@ -118,36 +94,20 @@ fn main() {
     ];
     let t = HashTable::new(512, 2048, 20, TableMethod::Elision);
     let mut sys = System::new(system_config(top).seed(42));
-    let written = if digest_only() {
-        let (tracer, sink) = Tracer::digest_only();
-        sys.set_tracer(tracer);
-        let t0 = Instant::now();
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, ops_for(top).min(150));
-        timing.add_run(t0.elapsed(), &sys.report());
-        write_bench_json_digest(
-            &bench_tag("fig5e_hashtable_digest"),
-            &headlines,
-            sink.digest(),
-            sink.events(),
-            Some(&timing),
-        )
-    } else {
-        let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
-        sys.set_tracer(tracer);
-        let t0 = Instant::now();
-        t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
-        t.run(&mut sys, ops_for(top).min(150));
-        timing.add_run(t0.elapsed(), &sys.report());
-        let rec = recorder.lock().unwrap();
-        write_bench_json_sweep(
-            &bench_tag("fig5e_hashtable"),
-            &headlines,
-            Some(&sweep_table),
-            Some(&rec),
-            Some(&timing),
-        )
-    };
+    let (tracer, recorder) = Tracer::recording(Recorder::DEFAULT_CAPACITY);
+    sys.set_tracer(tracer);
+    let t0 = Instant::now();
+    t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
+    t.run(&mut sys, ops_for(top).min(150));
+    timing.add_run(t0.elapsed(), &sys.report());
+    let rec = recorder.lock().unwrap();
+    let written = write_bench_json_sweep(
+        &bench_tag("fig5e_hashtable"),
+        &headlines,
+        Some(&sweep_table),
+        Some(&rec),
+        Some(&timing),
+    );
     match written {
         Ok(path) => println!("\nmetrics: {}", path.display()),
         Err(e) => eprintln!("metrics export failed: {e}"),

@@ -326,9 +326,6 @@ pub fn write_bench_json_sweep(
 
 /// A figure's per-point rows for [`write_bench_json_sweep`]: the x column
 /// name, one name per y series, and `(x, ys)` rows with one y per series.
-/// Series names must not collide with headline keys of the digest-only
-/// artifact shape (CI grep-extracts headline lines by key across the two
-/// shapes).
 pub struct SweepTable<'a> {
     pub x: &'a str,
     pub series: &'a [&'a str],
@@ -385,67 +382,6 @@ pub fn write_bench_json_to(
         }
         None => body.push_str("  \"metrics\": null\n"),
     }
-    body.push_str("}\n");
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Whether the digest-only tracing tier is engaged (`ZTM_DIGEST_ONLY=1`,
-/// and only the value "1"): figure binaries then attach `ztm-trace`'s
-/// digest-only sink to their traced re-run instead of a full recorder and
-/// export via [`write_bench_json_digest`] — the cheapest way to keep the
-/// determinism check while skipping ring buffering and metrics.
-pub fn digest_only() -> bool {
-    ztm_sim::env_flag("ZTM_DIGEST_ONLY")
-}
-
-/// The digest-only variant of [`write_bench_json`]: the same headline and
-/// timing layout, but the metrics object carries only what the digest-only
-/// sink knows — the FNV-1a trace digest (formatted exactly as the full
-/// metrics document formats it, so a `grep '"digest"'` line from this file
-/// diffs clean against the full-recorder artifact) and the events-digested
-/// count.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating the directory or writing.
-pub fn write_bench_json_digest(
-    name: &str,
-    headlines: &[(&str, f64)],
-    digest: u64,
-    events: u64,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(std::env::var("ZTM_RESULTS_DIR").unwrap_or_else(|_| "results".into()));
-    write_bench_json_digest_to(&dir, name, headlines, digest, events, timing)
-}
-
-/// [`write_bench_json_digest`] with an explicit target directory (the
-/// testable core, mirroring [`write_bench_json_to`]).
-pub fn write_bench_json_digest_to(
-    dir: &std::path::Path,
-    name: &str,
-    headlines: &[(&str, f64)],
-    digest: u64,
-    events: u64,
-    timing: Option<&Timing>,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let mut body = String::from("{\n");
-    body.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    let hl: Vec<String> = headlines
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect();
-    body.push_str(&format!("  \"headlines\": {{\n{}\n  }},\n", hl.join(",\n")));
-    if let Some(t) = timing {
-        body.push_str(&format!("  \"timing\": {},\n", t.json_value()));
-    }
-    body.push_str("  \"metrics\": {\n");
-    body.push_str(&format!("    \"digest\": \"{digest:#018x}\",\n"));
-    body.push_str(&format!("    \"events\": {events}\n"));
-    body.push_str("  }\n");
     body.push_str("}\n");
     std::fs::write(&path, body)?;
     Ok(path)
@@ -532,46 +468,6 @@ mod tests {
         // line, never a deterministic field.
         assert!(timing_lines[0].contains("\"commit\""));
         assert!(timing_lines[0].contains("\"sweep_threads\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn digest_only_json_digest_line_matches_the_full_export() {
-        // The digest-only artifact must render its "digest" and "events"
-        // lines byte-identically to the full-recorder export, so CI can
-        // grep-extract and diff them across the two artifact shapes.
-        let dir = std::env::temp_dir().join("ztm-bench-digest-json-test");
-        let (report, recorder) = run_pool_traced(SyncMethod::Tbegin, 2, 4, 1, 7);
-        let rec = recorder.lock().unwrap();
-        let full = write_bench_json_to(
-            &dir,
-            "full",
-            &[("cycles_per_op", report.avg_op_cycles())],
-            None,
-            Some(&rec),
-            None,
-        )
-        .unwrap();
-        let digest = write_bench_json_digest_to(
-            &dir,
-            "digest",
-            &[("cycles_per_op", report.avg_op_cycles())],
-            rec.digest(),
-            rec.metrics().events,
-            None,
-        )
-        .unwrap();
-        let pick = |path: &std::path::Path, key: &str| -> String {
-            std::fs::read_to_string(path)
-                .unwrap()
-                .lines()
-                .find(|l| l.contains(key))
-                .unwrap_or_else(|| panic!("{key} missing in {}", path.display()))
-                .trim_end_matches(',')
-                .to_string()
-        };
-        assert_eq!(pick(&full, "\"digest\":"), pick(&digest, "\"digest\":"));
-        assert_eq!(pick(&full, "\"events\":"), pick(&digest, "\"events\":"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

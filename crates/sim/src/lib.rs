@@ -17,7 +17,7 @@
 //! repeating loop iterations are retired in closed form when something it
 //! could observe wakes it. So is a CPU whose data access was stiff-armed:
 //! its identical rejected retries are retired in closed form up to the one
-//! that exhausts the holder's reject budget (see `park.rs`). Parking
+//! that exhausts the holder's reject budget (see `system/park.rs`). Parking
 //! changes no simulated outcome; [`SystemReport::parked_steps`] counts the
 //! steps it retired.
 //!

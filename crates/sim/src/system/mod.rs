@@ -60,8 +60,20 @@ struct Node {
     coalesced: u64,
     /// Software-TM statistics observed via `STMNOTE` markers.
     stm: crate::report::StmCounts,
-    /// Parking state (see [`crate::park`]).
+    /// Parking state (see [`park`]).
     spin: Spin,
+}
+
+impl Node {
+    /// Whether an instruction fetch from text `line` takes the same-line
+    /// i-cache fast path: `line` is the one the previous fetch read, and
+    /// no i-cache install or page-residency change (`page_epoch` is the
+    /// current epoch) happened since.
+    fn ifetch_repeats(&self, line: LineAddr, page_epoch: u64) -> bool {
+        self.last_ifetch == Some(line)
+            && self.icache_installs == self.last_ifetch_installs
+            && self.last_ifetch_page_epoch == page_epoch
+    }
 }
 
 /// One record of the per-CPU execution trace (see [`System::set_trace`]).
@@ -714,8 +726,7 @@ impl System {
     /// heap entry at its deadline, where its reject budget runs out. A
     /// caller that catches the panic gets a consistent system: every parked
     /// CPU is back on the heap where it parked — a spinner at its loop
-    /// head, a stalled CPU at its first closed-form retry (see
-    /// [`stop_parking`](Self::stop_parking)).
+    /// head, a stalled CPU at its first closed-form retry.
     pub fn run_until_halt(&mut self, max_steps: u64) {
         let start = self.steps;
         self.parking = self.parking_allowed();

@@ -11,12 +11,12 @@
 //!   ([`Stall`]).
 //!
 //! This module holds the per-CPU detection state, the waiter bookkeeping
-//! and the closed-form arithmetic; the scheduler in `system.rs` drives them
-//! (see DESIGN.md "Parking" for the exactness arguments).
+//! and the closed-form arithmetic, and the glue through which the
+//! scheduler parks CPUs and the memory ports wake them (see DESIGN.md
+//! "Parking" for the exactness arguments).
 
 use super::view::View;
 use super::{Node, System};
-use crate::system::park;
 use std::cmp::Reverse;
 use ztm_cache::{CpuId, Fabric, XiKind};
 use ztm_isa::{Op, StepEvent, StepOutcome};
@@ -511,10 +511,8 @@ impl System {
             .decoded(pre_pc);
         let node = &self.nodes[i];
         let recordable = next == pre_clock
-            && park::parkable(d.op)
-            && node.last_ifetch == Some(Address::new(d.addr).line())
-            && node.icache_installs == node.last_ifetch_installs
-            && node.last_ifetch_page_epoch == self.pages.epoch();
+            && parkable(d.op)
+            && node.ifetch_repeats(Address::new(d.addr).line(), self.pages.epoch());
         let (hits, instructions) = (node.coalesced, self.cores[i].instructions);
         let out = self.exec_step(i);
         // It must also retire exactly one instruction, and a data read must
@@ -527,11 +525,11 @@ impl System {
             && !out.broadcast_stop
             && core.is_running()
             && core.instructions == instructions + 1
-            && hit == u64::from(park::reads_memory(d.op));
+            && hit == u64::from(reads_memory(d.op));
         match &mut node.spin {
             Spin::Confirm {
                 start, next, steps, ..
-            } if ok && steps.len() < park::MAX_LOOP_STEPS => {
+            } if ok && steps.len() < MAX_LOOP_STEPS => {
                 steps.push(LoopStep {
                     offset: pre_clock - *start,
                     pc: core.pc,
@@ -563,6 +561,15 @@ impl System {
         }
     }
 
+    /// The conditions both kinds of park share on CPU `i`: no quiesce in
+    /// force, no execution trace or PER controls, and no pending abort.
+    fn may_park(&self, i: usize) -> bool {
+        self.quiesce.is_none()
+            && !self.traced[i]
+            && !self.cores[i].per.enabled
+            && self.nodes[i].engine.pending_abort().is_none()
+    }
+
     /// CPU `i`'s data access was just stiff-armed by holder `H`. When `H`
     /// was the fetch plan's first target, the step changed nothing but
     /// counters: `i`'s clock, stall and step counts, `H`'s reject count
@@ -576,31 +583,25 @@ impl System {
     /// rejects. The CPU parks with its heap entry at the retry after them,
     /// which runs for real.
     ///
-    /// Only a CPU whose op makes one data access ([`park::single_access`]),
-    /// with an inert diagnostic control, no pending abort, no PER controls
-    /// or execution trace and no quiesce in force parks.
+    /// Only a CPU whose op makes one data access ([`single_access`]) and
+    /// whose diagnostic control is inert parks, and only when
+    /// [`may_park`](Self::may_park).
     fn stall_park(&mut self, i: usize) {
         let Some((h, kind)) = self.wakes.rejected.take() else {
             return;
         };
-        let core = &self.cores[i];
         let node = &self.nodes[i];
         let d = self.programs[i]
             .as_ref()
             .expect("program loaded")
-            .decoded(core.pc);
+            .decoded(self.cores[i].pc);
         let c = self.nodes[h].cache.rejects_of(CpuId(i));
         let threshold = self.config.geometry.xi_reject_threshold;
         if c >= threshold
-            || !park::single_access(d.op)
-            || self.quiesce.is_some()
-            || self.traced[i]
-            || core.per.enabled
-            || node.engine.pending_abort().is_some()
+            || !single_access(d.op)
+            || !self.may_park(i)
             || !node.engine.tdc_inert()
-            || node.last_ifetch != Some(Address::new(d.addr).line())
-            || node.icache_installs != node.last_ifetch_installs
-            || node.last_ifetch_page_epoch != self.pages.epoch()
+            || !node.ifetch_repeats(Address::new(d.addr).line(), self.pages.epoch())
         {
             return;
         }
@@ -630,29 +631,22 @@ impl System {
     /// recorded one exactly until something the CPU can observe changes —
     /// and each such change wakes it first (see [`View::wake`]).
     ///
-    /// Only a CPU outside any transaction, with no pending abort, no PER
-    /// controls or execution trace, and no quiesce in force is watched, and
-    /// it parks only past its last stall deadline (see
-    /// [`Wakes::stall_entry`]). Its
-    /// store cache may hold non-transactional entries (the gathering cache
+    /// Only a running CPU outside any transaction is watched, and only when
+    /// [`may_park`](Self::may_park); it parks only past its last stall
+    /// deadline (see [`Wakes::stall_entry`]). Its store cache may hold
+    /// non-transactional entries (the gathering cache
     /// keeps a lock holder's last stores until an XI drains them): their
     /// bytes are already in committed memory, a parked load forwards them
     /// unchanged, and only a store, a transaction boundary or an XI — none
     /// of which a parked CPU meets without being woken — changes them.
     /// Returns whether the CPU parked.
     fn loop_head(&mut self, i: usize) -> bool {
-        let core = &self.cores[i];
-        let node = &mut self.nodes[i];
-        if self.quiesce.is_some()
-            || self.traced[i]
-            || core.per.enabled
-            || !core.is_running()
-            || node.engine.in_tx()
-            || node.engine.pending_abort().is_some()
-        {
-            node.spin = Spin::Idle;
+        if !self.may_park(i) || !self.cores[i].is_running() || self.nodes[i].engine.in_tx() {
+            self.nodes[i].spin = Spin::Idle;
             return false;
         }
+        let core = &self.cores[i];
+        let node = &mut self.nodes[i];
         let head = LoopHead {
             pc: core.pc,
             cc: core.cc,

@@ -251,35 +251,38 @@ fn run_for_cycles_stops_at_the_horizon() {
 fn io_store_aborts_conflicting_transaction() {
     // §II.A: "the transaction cannot observe changes made by other CPUs
     // or the I/O subsystem" — an I/O store to a tx-read line aborts the
-    // transaction, and the target cannot stiff-arm the channel.
-    let var = 0xC0_000u64;
-    let mut a = Assembler::new(0);
-    a.tbegin(TbeginParams::new());
-    a.jnz("aborted");
-    a.lg(R2, MemOperand::absolute(var));
-    a.label("spin");
-    a.lg(R3, MemOperand::absolute(var));
-    a.cghi(R3, 0);
-    a.jz("spin");
-    a.tend();
-    a.halt();
-    a.label("aborted");
-    a.lghi(R9, 1);
-    a.halt();
-    let p = a.assemble().unwrap();
-    let mut cfg = SystemConfig::with_cpus(1);
-    cfg.speculative_prefetch = false;
-    let mut sys = System::new(cfg);
-    sys.load_program(0, &p);
-    for _ in 0..8 {
-        sys.step_one();
+    // transaction, and the target cannot stiff-arm the channel. The
+    // second case's doubleword starts at 0xFC in one line and ends in the
+    // next, which is the one the transaction read.
+    for (read, store) in [(0xC0_000u64, 0xC0_000u64), (0xC1_100, 0xC1_0FC)] {
+        let mut a = Assembler::new(0);
+        a.tbegin(TbeginParams::new());
+        a.jnz("aborted");
+        a.lg(R2, MemOperand::absolute(read));
+        a.label("spin");
+        a.lg(R3, MemOperand::absolute(read));
+        a.cghi(R3, 0);
+        a.jz("spin");
+        a.tend();
+        a.halt();
+        a.label("aborted");
+        a.lghi(R9, 1);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let mut cfg = SystemConfig::with_cpus(1);
+        cfg.speculative_prefetch = false;
+        let mut sys = System::new(cfg);
+        sys.load_program(0, &p);
+        for _ in 0..8 {
+            sys.step_one();
+        }
+        sys.io_store(Address::new(store), 0xD1A0);
+        sys.run_until_halt(100_000);
+        assert_eq!(sys.core(0).gr(R9), 1, "transaction aborted by I/O");
+        assert_eq!(sys.mem().load_u64(Address::new(store)), 0xD1A0);
+        // The abort is a plain fetch conflict (code 9) with no CPU id.
+        assert_eq!(sys.tx_stats(0).aborts_by_code.get(&9), Some(&1));
     }
-    sys.io_store(Address::new(var), 0xD1A0);
-    sys.run_until_halt(100_000);
-    assert_eq!(sys.core(0).gr(R9), 1, "transaction aborted by I/O");
-    assert_eq!(sys.mem().load_u64(Address::new(var)), 0xD1A0);
-    // The abort is a plain fetch conflict (code 9) with no CPU id.
-    assert_eq!(sys.tx_stats(0).aborts_by_code.get(&9), Some(&1));
 }
 
 #[test]

@@ -65,6 +65,20 @@ pub(super) struct View<'a> {
     pub(super) wakes: &'a mut Wakes,
 }
 
+/// Delivers `xi` to CPU `target`: its cache answers, the fabric records
+/// the response, and the footprint consequences go to its engine. Returns
+/// whether `target` accepted.
+pub(super) fn deliver_xi(nodes: &mut [Node], fabric: &mut Fabric, target: CpuId, xi: Xi) -> bool {
+    let node = &mut nodes[target.0];
+    let out = node.cache.handle_xi(xi);
+    let accepted = out.response == XiResponse::Accept;
+    fabric.apply_xi_result(target, xi.line, xi.kind, accepted);
+    for ev in out.events {
+        node.engine.note_footprint_event(ev);
+    }
+    accepted
+}
+
 impl View<'_> {
     fn me(&mut self) -> &mut Node {
         &mut self.nodes[self.cpu]
@@ -78,44 +92,30 @@ impl View<'_> {
     /// victim line leaves every private cache under the overflowing L3,
     /// aborting transactions whose footprint it carried (§III.A/§III.C).
     fn deliver_lru_xis(&mut self, xis: Vec<(CpuId, LineAddr)>) {
-        for (cpu, vline) in xis {
-            let out = self.nodes[cpu.0].cache.handle_xi(Xi {
+        for (cpu, line) in xis {
+            let xi = Xi {
                 kind: XiKind::Lru,
-                line: vline,
+                line,
                 from: None,
-            });
-            debug_assert_eq!(
-                out.response,
-                XiResponse::Accept,
-                "LRU XIs are not rejectable"
-            );
-            self.fabric.apply_xi_result(cpu, vline, XiKind::Lru, true);
-            for ev in out.events {
-                self.nodes[cpu.0].engine.note_footprint_event(ev);
-            }
+            };
+            let accepted = deliver_xi(self.nodes, self.fabric, cpu, xi);
+            debug_assert!(accepted, "LRU XIs are not rejectable");
             self.xi_accepted(cpu.0);
         }
     }
 
-    /// Delivers a fetch plan's XIs to their targets in plan order: each
-    /// target's response is reported to the fabric and the footprint
-    /// consequences are forwarded to that target's engine. Returns `false`
-    /// the moment a target stiff-arms — the remaining XIs are not delivered
-    /// and the caller abandons the fetch (retry or silent drop).
+    /// Delivers a fetch plan's XIs to their targets in plan order. Returns
+    /// `false` the moment a target stiff-arms — the remaining XIs are not
+    /// delivered and the caller abandons the fetch (retry or silent drop).
     fn deliver_plan_xis(&mut self, line: LineAddr, xis: Vec<(CpuId, XiKind)>) -> bool {
-        for (n, (target, xikind)) in xis.into_iter().enumerate() {
-            let out = self.nodes[target.0].cache.handle_xi(Xi {
-                kind: xikind,
+        for (n, (target, kind)) in xis.into_iter().enumerate() {
+            let xi = Xi {
+                kind,
                 line,
                 from: Some(CpuId(self.cpu)),
-            });
-            let accepted = out.response == XiResponse::Accept;
-            self.fabric.apply_xi_result(target, line, xikind, accepted);
-            for ev in out.events {
-                self.nodes[target.0].engine.note_footprint_event(ev);
-            }
-            if !accepted {
-                self.wakes.rejected = (n == 0).then_some((target.0, xikind));
+            };
+            if !deliver_xi(self.nodes, self.fabric, target, xi) {
+                self.wakes.rejected = (n == 0).then_some((target.0, kind));
                 return false;
             }
             self.xi_accepted(target.0);
@@ -141,24 +141,26 @@ impl View<'_> {
         queued
     }
 
-    /// Fetches `line` through the fabric. `Err(stall)` when an XI was
-    /// stiff-armed and the access must retry.
+    /// Fetches `line` through the fabric: delivers the fetch plan's XIs,
+    /// takes the grant and delivers the LRU XIs it causes, occupies the
+    /// MCM channel and installs the line. Returns the fetch latency, or
+    /// `None` when an XI was stiff-armed and the fetch is abandoned.
     fn fetch_line(
         &mut self,
         line: LineAddr,
         excl: bool,
         class: AccessClass,
         tx: bool,
-    ) -> Result<u64, u64> {
-        let kind = if excl {
-            FetchKind::Exclusive
+    ) -> Option<u64> {
+        let (kind, state) = if excl {
+            (FetchKind::Exclusive, CohState::Exclusive)
         } else {
-            FetchKind::Shared
+            (FetchKind::Shared, CohState::ReadOnly)
         };
         let who = CpuId(self.cpu);
         let plan = self.fabric.plan_fetch(who, line, kind);
         if !self.deliver_plan_xis(line, plan.xis) {
-            return Err(self.config.latency.xi_reject_retry);
+            return None;
         }
         let lru = self.fabric.grant(who, line, kind);
         self.deliver_lru_xis(lru);
@@ -167,11 +169,6 @@ impl View<'_> {
             .latency
             .fetch(self.fabric.topology(), who, plan.source);
         let cycles = base + self.occupy_fabric();
-        let state = if excl {
-            CohState::Exclusive
-        } else {
-            CohState::ReadOnly
-        };
         let inst = self.me().cache.install(line, state, class, tx);
         for l in inst.lost_lines {
             self.fabric.drop_holder(who, l);
@@ -179,39 +176,31 @@ impl View<'_> {
         for ev in inst.events {
             self.me().engine.note_footprint_event(ev);
         }
-        Ok(cycles)
+        Some(cycles)
     }
 
-    /// Speculative next-line prefetch; with the configured probability it
-    /// represents a wrong-path load and over-marks the line tx-read
-    /// (§III.C). Abandoned silently when anybody stiff-arms.
-    fn speculative_prefetch(&mut self, line: LineAddr) {
+    /// Rolls the speculative-prefetch dice after a transactional access of
+    /// `class` to `line`. On a hit, a fetch prefetches the next line; with
+    /// the configured probability it represents a wrong-path load and
+    /// over-marks that line tx-read (§III.C). The prefetch is abandoned
+    /// silently when anybody stiff-arms, and speculative transfers consume
+    /// fabric bandwidth too. Returns whether the dice hit.
+    fn speculative_prefetch(&mut self, line: LineAddr, class: AccessClass) -> bool {
+        let p = self.config.prefetch_probability;
+        let hit = class == AccessClass::Fetch
+            && self.config.speculative_prefetch
+            && p > 0.0
+            && !self.me().engine.speculation_disabled()
+            && self.me().rng.gen_bool(p);
         let next = LineAddr::new(line.index() + 1);
-        if self.node().cache.state_of(next).is_some() {
-            return;
+        if hit && self.node().cache.state_of(next).is_none() {
+            let overmark = {
+                let p = self.config.overmark_probability;
+                self.me().rng.gen_bool(p)
+            };
+            self.fetch_line(next, false, AccessClass::Fetch, overmark);
         }
-        let overmark = {
-            let p = self.config.overmark_probability;
-            self.me().rng.gen_bool(p)
-        };
-        let who = CpuId(self.cpu);
-        let plan = self.fabric.plan_fetch(who, next, FetchKind::Shared);
-        if !self.deliver_plan_xis(next, plan.xis) {
-            return;
-        }
-        let lru = self.fabric.grant(who, next, FetchKind::Shared);
-        self.deliver_lru_xis(lru);
-        self.occupy_fabric(); // speculative transfers consume bandwidth too
-        let inst = self
-            .me()
-            .cache
-            .install(next, CohState::ReadOnly, AccessClass::Fetch, overmark);
-        for l in inst.lost_lines {
-            self.fabric.drop_holder(who, l);
-        }
-        for ev in inst.events {
-            self.me().engine.note_footprint_event(ev);
-        }
+        hit
     }
 
     /// Common access preparation: faults, constrained footprint, ownership.
@@ -299,14 +288,7 @@ impl View<'_> {
                     // prefetch install can evict this very line without a
                     // generation bump (it is this CPU's own access path), so
                     // it drops the window.
-                    let prefetch_p = self.config.prefetch_probability;
-                    if class == AccessClass::Fetch
-                        && self.config.speculative_prefetch
-                        && prefetch_p > 0.0
-                        && !self.me().engine.speculation_disabled()
-                        && self.me().rng.gen_bool(prefetch_p)
-                    {
-                        self.speculative_prefetch(line);
+                    if self.speculative_prefetch(line, class) {
                         self.me().last_data = None;
                     }
                 }
@@ -344,20 +326,15 @@ impl View<'_> {
                 }
                 self.config.latency.l2_hit
             }
-            LocalHit::Miss { .. } => match self.fetch_line(line, excl, class, tx) {
-                Ok(c) => c,
-                Err(stall) => return Err(AccessResult::Stall { cycles: stall }),
-            },
+            LocalHit::Miss { .. } => {
+                self.fetch_line(line, excl, class, tx)
+                    .ok_or(AccessResult::Stall {
+                        cycles: self.config.latency.xi_reject_retry,
+                    })?
+            }
         };
-        let prefetch_p = self.config.prefetch_probability;
-        if class == AccessClass::Fetch
-            && tx
-            && self.config.speculative_prefetch
-            && prefetch_p > 0.0
-            && !self.me().engine.speculation_disabled()
-            && self.me().rng.gen_bool(prefetch_p)
-        {
-            self.speculative_prefetch(line);
+        if tx {
+            self.speculative_prefetch(line, class);
         }
         // Arm the line window (see the fast path above), but only when
         // coalescing is enabled (the escape hatch must step the exact
@@ -455,10 +432,7 @@ impl Machine for View<'_> {
         // of the directory-wide MRU line do not re-stamp (see
         // `SetAssoc::hot`), and a successful page access has no side
         // effects, so the elided calls are pure.
-        if node.last_ifetch == Some(line)
-            && node.icache_installs == node.last_ifetch_installs
-            && node.last_ifetch_page_epoch == page_epoch
-        {
+        if node.ifetch_repeats(line, page_epoch) {
             return AccessResult::Done {
                 value: 0,
                 cycles: 0,

@@ -21,6 +21,9 @@ const E1_DIGEST: u64 = 0xb6c503adfc7f7c55;
 /// 1024 keys, 150 ops/CPU (the quick-mode traced point of `fig5e`).
 const FIG5E_DIGEST: u64 = 0x6a19de9389368382;
 
+/// The event count committed beside [`FIG5E_DIGEST`].
+const FIG5E_EVENTS: u64 = 14299;
+
 #[test]
 fn e1_trace_digest_matches_the_committed_baseline() {
     let wl = PoolWorkload::new(PoolLayout::new(1, 1), SyncMethod::Tbegin, 42);
@@ -39,7 +42,9 @@ fn fig5e_trace_digest_matches_the_committed_baseline() {
     sys.set_tracer(tracer);
     t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
     t.run(&mut sys, 150);
-    assert_eq!(recorder.lock().unwrap().digest(), FIG5E_DIGEST);
+    let rec = recorder.lock().unwrap();
+    assert_eq!(rec.digest(), FIG5E_DIGEST);
+    assert_eq!(rec.metrics().events, FIG5E_EVENTS);
 }
 
 /// The digest-only sink (no ring, no metrics, no event materialization)
@@ -65,7 +70,7 @@ fn fig5e_digest_matches_through_the_digest_only_sink() {
     t.populate(&mut sys, &(0..1024).collect::<Vec<_>>());
     t.run(&mut sys, 150);
     assert_eq!(sink.digest(), FIG5E_DIGEST);
-    assert!(sink.events() > 0);
+    assert_eq!(sink.events(), FIG5E_EVENTS);
 }
 
 /// Broadcast-stop quiesce (§III.E) under the heap scheduler: the quiescing
