@@ -7,7 +7,11 @@
 
 #![forbid(unsafe_code)]
 
-use ztm_bench::{cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep};
+use std::time::Instant;
+use ztm_bench::{
+    bench_tag, cpu_counts, print_header, print_row, reference_throughput, run_pool, sweep,
+    write_bench_json_sweep, SweepTable, Timing,
+};
 use ztm_workloads::pool::SyncMethod;
 
 const METHODS: [SyncMethod; 4] = [
@@ -28,9 +32,45 @@ fn main() {
         .flat_map(|cpus| METHODS.map(|m| (m, cpus)))
         .collect();
     let results = sweep(points, |&(m, cpus)| {
-        run_pool(m, cpus, 10, 1, 42).normalized_throughput(reference)
+        let t0 = Instant::now();
+        let rep = run_pool(m, cpus, 10, 1, 42);
+        (rep, t0.elapsed())
     });
+    let mut timing = Timing::default();
+    for (rep, wall) in &results {
+        timing.add_run(*wall, &rep.system);
+    }
+    let mut rows = Vec::new();
     for (i, cpus) in cpu_counts().into_iter().enumerate() {
-        print_row(cpus, &results[4 * i..4 * i + 4]);
+        let row: Vec<f64> = results[4 * i..4 * i + 4]
+            .iter()
+            .map(|(rep, _)| rep.normalized_throughput(reference))
+            .collect();
+        print_row(cpus, &row);
+        rows.push((cpus, row));
+    }
+    // The printed figure, exported verbatim (see fig5c).
+    let top = rows.last().expect("non-empty sweep").clone();
+    let sweep_table = SweepTable {
+        x: "cpus",
+        series: &["coarse_lock", "fine_lock", "tbeginc", "tbegin"],
+        rows,
+    };
+    println!();
+    match write_bench_json_sweep(
+        &bench_tag("fig5b_pools"),
+        &[
+            ("cpus_max", top.0 as f64),
+            ("coarse_lock_top", top.1[0]),
+            ("fine_lock_top", top.1[1]),
+            ("tbeginc_top", top.1[2]),
+            ("tbegin_top", top.1[3]),
+        ],
+        Some(&sweep_table),
+        None,
+        Some(&timing),
+    ) {
+        Ok(path) => println!("metrics: {}", path.display()),
+        Err(e) => eprintln!("metrics export failed: {e}"),
     }
 }

@@ -352,6 +352,9 @@ pub fn execute(o: &Options) -> Result<String, String> {
     let _ = writeln!(out, "stall retries     : {}", r.stalls);
     let _ = writeln!(out, "coalesced accesses: {}", r.coalesced_accesses);
     let _ = writeln!(out, "parked steps      : {}", r.parked_steps);
+    let _ = writeln!(out, "loop parks        : {}", r.loop_parks);
+    let _ = writeln!(out, "reparks           : {}", r.reparks);
+    let _ = writeln!(out, "wakes             : {}", r.wakes);
     if r.tx.broadcast_stops > 0 {
         let _ = writeln!(out, "broadcast stops   : {}", r.tx.broadcast_stops);
     }

@@ -17,9 +17,11 @@
 //! repeating loop iterations are retired in closed form when something it
 //! could observe wakes it. So is a CPU whose data access was stiff-armed:
 //! its identical rejected retries are retired in closed form up to the one
-//! that exhausts the holder's reject budget (see `system/park.rs`). Parking
-//! changes no simulated outcome; [`SystemReport::parked_steps`] counts the
-//! steps it retired.
+//! that exhausts the holder's reject budget (see `system/park.rs`). A woken
+//! spinner that comes back to the loop it last confirmed, with the same
+//! registers and polled bytes, parks again at once. Parking changes no
+//! simulated outcome; [`SystemReport::parked_steps`] counts the steps it
+//! retired, and [`SystemReport::reparks`] the loop parks taken that way.
 //!
 //! The simulator also implements the millicode *broadcast-stop* quiesce
 //! (§III.E): when a struggling constrained transaction escalates to the last

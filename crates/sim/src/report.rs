@@ -70,6 +70,15 @@ pub struct SystemReport {
     /// these steps are included in `steps` (and the stall retries in
     /// `stalls`).
     pub parked_steps: u64,
+    /// Loop parks entered by confirming an iteration (Watch → Confirm →
+    /// Parked). Like the next two, a host-speed statistic like
+    /// `parked_steps`.
+    pub loop_parks: u64,
+    /// Loop parks entered straight from the CPU's last confirmed loop,
+    /// skipping the watching and confirming iterations.
+    pub reparks: u64,
+    /// Loop parks (of either kind) ended by a wake.
+    pub wakes: u64,
     /// Merged software-TM statistics (all zero unless an STM or hybrid
     /// sync mode ran).
     pub stm: StmCounts,

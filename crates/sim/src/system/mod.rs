@@ -294,6 +294,7 @@ impl System {
             wakes: Wakes {
                 waiters: Waiters::new(cpus),
                 stall_entry: vec![0; cpus],
+                templates: (0..cpus).map(|_| None).collect(),
                 ..Wakes::default()
             },
             parked_steps: 0,
@@ -780,6 +781,9 @@ impl System {
             xi_counts: self.fabric.xi_counts(),
             coalesced_accesses: self.nodes.iter().map(|n| n.coalesced).sum(),
             parked_steps: self.parked_steps,
+            loop_parks: self.wakes.loop_parks,
+            reparks: self.wakes.reparks,
+            wakes: self.wakes.wakes,
             stm,
         }
     }

@@ -10,6 +10,9 @@
 //!   time, until the holder moves or its reject budget runs out
 //!   ([`Stall`]).
 //!
+//! A woken spinner that comes back to the loop it last confirmed parks
+//! again at once from that loop's [`Template`].
+//!
 //! This module holds the per-CPU detection state, the waiter bookkeeping
 //! and the closed-form arithmetic, and the glue through which the
 //! scheduler parks CPUs and the memory ports wake them (see DESIGN.md
@@ -20,7 +23,7 @@ use super::{Node, System};
 use std::cmp::Reverse;
 use ztm_cache::{CpuId, Fabric, XiKind};
 use ztm_isa::{Op, StepEvent, StepOutcome};
-use ztm_mem::{Address, LineAddr};
+use ztm_mem::{Address, LineAddr, LINE_SIZE};
 
 /// Most steps one parkable loop iteration may have. The Figure 1 spin
 /// loop has four; longer loops are left to ordinary stepping.
@@ -100,6 +103,24 @@ pub(crate) struct Loop {
     pub hits: u64,
     /// The polled line, when the loop reads memory.
     pub line: Option<LineAddr>,
+}
+
+/// A CPU's last confirmed loop park, kept across its wakes: the loop
+/// head's registers, the polled line as the loop's loads read it, and —
+/// while the CPU is not parked on it — the confirmed [`Loop`] itself. A
+/// woken CPU that reaches a loop head where the template provably repeats
+/// parks again at once (see [`System::loop_head`]).
+#[derive(Debug)]
+pub(super) struct Template {
+    pc: usize,
+    cc: u8,
+    grs: [u64; 16],
+    /// When the loop reads memory: the polled line, whether the confirming
+    /// iteration's window on it was exclusive (a load for update hits only
+    /// an exclusive window), and the line's bytes as a load read them.
+    polled: Option<(LineAddr, bool, [u8; LINE_SIZE as usize])>,
+    /// The confirmed loop, moved here when the CPU is woken off it.
+    idle: Option<Loop>,
 }
 
 /// The closed-form steps of a [`Park`] below some bound.
@@ -326,6 +347,13 @@ pub(super) struct Wakes {
     /// again; a loop park, which must leave the heap, never starts at or
     /// before it.
     pub(super) stall_entry: Vec<u64>,
+    /// Per CPU, its last confirmed loop park.
+    pub(super) templates: Vec<Option<Template>>,
+    /// Loop parks that confirmed an iteration, loop parks taken straight
+    /// from a template, and loop parks ended by a wake.
+    pub(super) loop_parks: u64,
+    pub(super) reparks: u64,
+    pub(super) wakes: u64,
 }
 
 impl Wakes {
@@ -388,12 +416,12 @@ impl System {
     /// Ends a parking run: requeues every parked CPU where it parked — a
     /// spinner at its loop head, a stalled CPU at its first closed-form
     /// retry `c1` — retiring none of its closed-form steps, and forgets
-    /// every candidate loop (steps taken outside a parking run are not
-    /// recorded). A requeued CPU merely lags: its unretired steps touch
-    /// only its own core, its own line and counters (a stall's holder
-    /// reject count and the fabric's XI count), so they commute with every
-    /// step taken since it parked, and stepping on from here reaches the
-    /// same outcome.
+    /// every candidate loop and template (steps taken outside a parking
+    /// run are not recorded). A requeued CPU merely lags: its unretired
+    /// steps touch only its own core, its own line and counters (a stall's
+    /// holder reject count and the fabric's XI count), so they commute with
+    /// every step taken since it parked, and stepping on from here reaches
+    /// the same outcome.
     pub(super) fn stop_parking(&mut self) {
         for j in 0..self.nodes.len() {
             if matches!(self.nodes[j].spin, Spin::Parked(_)) {
@@ -404,6 +432,7 @@ impl System {
                 self.nodes[j].spin = Spin::Idle;
             }
         }
+        self.wakes.templates.iter_mut().for_each(|t| *t = None);
         debug_assert!(self.wakes.waiters.is_empty());
     }
 
@@ -441,7 +470,8 @@ impl System {
 
     /// The core side of waking a parked CPU: leaves the core in the
     /// post-state of its last retired step (or untouched where it parked
-    /// when none retired) and counts the steps. The caller requeues it.
+    /// when none retired), counts the steps and hands a loop back to the
+    /// CPU's template. The caller requeues it.
     fn resume(&mut self, woken: Woken) {
         let Woken {
             cpu: j,
@@ -449,12 +479,17 @@ impl System {
             retired,
         } = woken;
         let core = &mut self.cores[j];
-        if let (Park::Loop(l), Some(m)) = (&park, retired.last) {
-            let s = &l.steps[m];
-            core.pc = s.pc;
-            core.cc = s.cc;
-            core.grs = s.grs;
-            core.instructions += retired.steps;
+        if let Park::Loop(l) = park {
+            if let Some(m) = retired.last {
+                let s = &l.steps[m];
+                core.pc = s.pc;
+                core.cc = s.cc;
+                core.grs = s.grs;
+                core.instructions += retired.steps;
+            }
+            if let Some(t) = &mut self.wakes.templates[j] {
+                t.idle = Some(l);
+            }
         }
         core.clock = retired.clock;
         self.hot_clock[j] = retired.clock;
@@ -629,7 +664,11 @@ impl System {
     /// arrival after a fully recordable iteration parks the CPU, since
     /// every later iteration starts from the same state and so repeats the
     /// recorded one exactly until something the CPU can observe changes —
-    /// and each such change wakes it first (see [`View::wake`]).
+    /// and each such change wakes it first (see [`View::wake`]). That park
+    /// becomes the CPU's [`Template`], and a woken CPU parks on it again
+    /// at the first loop head where it provably repeats
+    /// ([`repark`](Self::repark)), skipping the watching and confirming
+    /// iterations.
     ///
     /// Only a running CPU outside any transaction is watched, and only when
     /// [`may_park`](Self::may_park); it parks only past its last stall
@@ -645,6 +684,41 @@ impl System {
             self.nodes[i].spin = Spin::Idle;
             return false;
         }
+        let l = match self.repark(i) {
+            Some(mut l) => {
+                l.c0 = self.cores[i].clock;
+                self.wakes.reparks += 1;
+                l
+            }
+            None => {
+                let Some((head, l)) = self.watch(i) else {
+                    return false;
+                };
+                let polled = head
+                    .window
+                    .filter(|_| l.line.is_some())
+                    .map(|(line, excl, ..)| (line, excl, self.loaded_line(i, line)));
+                self.wakes.templates[i] = Some(Template {
+                    pc: head.pc,
+                    cc: head.cc,
+                    grs: head.grs,
+                    polled,
+                    idle: None,
+                });
+                self.wakes.loop_parks += 1;
+                l
+            }
+        };
+        self.nodes[i].spin = Spin::Parked(Park::Loop(l));
+        self.wakes.parked += 1;
+        true
+    }
+
+    /// Advances CPU `i`'s watch of the loop head it is at (see
+    /// [`loop_head`](Self::loop_head)). Returns the head and the confirmed
+    /// loop, starting at the current clock, when the confirming iteration
+    /// just completed; the caller parks the CPU on it.
+    fn watch(&mut self, i: usize) -> Option<(LoopHead, Loop)> {
         let core = &self.cores[i];
         let node = &mut self.nodes[i];
         let head = LoopHead {
@@ -674,15 +748,14 @@ impl System {
                 // which is still valid: the generation is unchanged, and a
                 // page-residency change would have failed a recorded fetch.
                 let hits = steps.iter().filter(|s| s.hit).count() as u64;
-                node.spin = Spin::Parked(Park::Loop(Loop {
+                let l = Loop {
                     c0: clock,
                     period: clock - start,
                     line: head.window.filter(|_| hits > 0).map(|w| w.0),
                     hits,
                     steps,
-                }));
-                self.wakes.parked += 1;
-                true
+                };
+                return Some((head, l));
             }
             Spin::Watch(prev) if prev == head => {
                 node.spin = Spin::Confirm {
@@ -691,13 +764,66 @@ impl System {
                     next: clock,
                     steps: Vec::new(),
                 };
-                false
             }
-            _ => {
-                node.spin = Spin::Watch(head);
-                false
+            _ => node.spin = Spin::Watch(head),
+        }
+        None
+    }
+
+    /// CPU `i`'s confirmed loop, taken from its template, when the CPU is
+    /// at a loop head from which that loop provably repeats step for step:
+    /// - the registers and condition code equal the template's, and the
+    ///   clock is past the CPU's last stall deadline;
+    /// - when the loop reads memory, the line window is on the polled line,
+    ///   covers the template's ownership and is valid now, so every load
+    ///   hits it at `l1_hit`, and a load of the line reads the template's
+    ///   bytes;
+    /// - the head instruction fetches through the same-line fast path, as
+    ///   every recorded step did from that one text line.
+    ///
+    /// The iteration then starts from the same state and reads the same
+    /// values at the same cost, so it repeats the recorded one until
+    /// something the CPU can observe changes — which wakes it first, as
+    /// for any loop park. Registers alone are not enough: a loop that
+    /// overwrites the value it polls reaches the same registers whatever
+    /// the line holds, and a write that bypasses coherence changes the
+    /// line but leaves the window valid.
+    fn repark(&mut self, i: usize) -> Option<Loop> {
+        let t = self.wakes.templates[i].as_ref()?;
+        let core = &self.cores[i];
+        if t.pc != core.pc
+            || t.cc != core.cc
+            || t.grs != core.grs
+            || core.clock <= self.wakes.stall_entry[i]
+        {
+            return None;
+        }
+        let node = &self.nodes[i];
+        let epoch = self.pages.epoch();
+        if let Some((line, excl, bytes)) = &t.polled {
+            let windowed = node
+                .last_data
+                .is_some_and(|w| w.serves(*line, *excl, node.cache.generation(), epoch));
+            if !windowed || self.loaded_line(i, *line) != *bytes {
+                return None;
             }
         }
+        let d = self.programs[i]
+            .as_ref()
+            .expect("program loaded")
+            .decoded(core.pc);
+        if !node.ifetch_repeats(Address::new(d.addr).line(), epoch) {
+            return None;
+        }
+        self.wakes.templates[i].as_mut()?.idle.take()
+    }
+
+    /// The bytes of `line` as CPU `i`'s loads read them: committed memory
+    /// overlaid with the CPU's own store cache.
+    fn loaded_line(&self, i: usize, line: LineAddr) -> [u8; LINE_SIZE as usize] {
+        let mut bytes = self.mem.line_contents(line);
+        self.nodes[i].cache.forward(line.base(), &mut bytes);
+        bytes
     }
 }
 
@@ -712,6 +838,7 @@ impl View<'_> {
         if self.wakes.parked > 0 && matches!(self.nodes[j].spin, Spin::Parked(_)) {
             let bound = self.now + u64::from(j < self.cpu);
             let woken = self.wakes.unpark(self.nodes, self.fabric, j, bound);
+            self.wakes.wakes += u64::from(matches!(woken.park, Park::Loop(_)));
             self.wakes.woken.push(woken);
         }
     }

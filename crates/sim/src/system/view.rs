@@ -39,6 +39,20 @@ pub(super) struct LineWindow {
     pub(super) slot: Option<Option<u32>>,
 }
 
+impl LineWindow {
+    /// Whether the window serves an access to `line` (`excl`: one that needs
+    /// exclusive ownership) while the cache's generation is `gen` and the
+    /// page-residency epoch `page_epoch`: the same line, ownership that
+    /// covers the access, and no XI, transaction boundary, store-cache drain
+    /// or page-residency change since the arming walk.
+    pub(super) fn serves(&self, line: LineAddr, excl: bool, gen: u64, page_epoch: u64) -> bool {
+        self.line == line
+            && (self.excl || !excl)
+            && self.gen == gen
+            && self.page_epoch == page_epoch
+    }
+}
+
 /// The per-step [`Machine`] view: disjoint borrows of the system's fields
 /// excluding the stepped CPU's core (borrowed by the interpreter).
 pub(super) struct View<'a> {
@@ -249,10 +263,7 @@ impl View<'_> {
         if let Some(w) = self.nodes[self.cpu].last_data {
             let node = &mut self.nodes[self.cpu];
             let tx = node.engine.in_tx();
-            let valid = w.line == line
-                && (w.excl || !excl)
-                && w.gen == node.cache.generation()
-                && w.page_epoch == self.pages.epoch()
+            let valid = w.serves(line, excl, node.cache.generation(), self.pages.epoch())
                 && (!tx
                     || node
                         .cache

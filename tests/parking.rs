@@ -5,9 +5,9 @@
 //! host-speed optimization with *zero* simulated effect, and these tests
 //! pin that. Each run is compared against a reference run of the same
 //! system with the step log on, which keeps parking off: the system
-//! reports (bar `parked_steps`), every core's registers, condition code,
-//! program counter, clock, instruction count and stall count, pool sums
-//! and per-CPU op cycles must all be equal — and the parked run must
+//! reports (bar the parking counters), every core's registers, condition
+//! code, program counter, clock, instruction count and stall count, pool
+//! sums and per-CPU op cycles must all be equal — and the parked run must
 //! actually have parked.
 
 use std::panic::AssertUnwindSafe;
@@ -37,10 +37,24 @@ struct CoreEnd {
     stalls: u64,
 }
 
-/// The outcome of `sys`, and its `parked_steps` (zeroed in the outcome).
-fn outcome(sys: &System) -> (Outcome, u64) {
+/// A run's host-speed parking counters (zeroed in its [`Outcome`]).
+#[derive(Debug, Clone, Copy)]
+struct Parking {
+    steps: u64,
+    loop_parks: u64,
+    reparks: u64,
+    wakes: u64,
+}
+
+/// The outcome of `sys`, and its parking counters.
+fn outcome(sys: &System) -> (Outcome, Parking) {
     let report = sys.report();
-    let parked = report.parked_steps;
+    let parked = Parking {
+        steps: report.parked_steps,
+        loop_parks: report.loop_parks,
+        reparks: report.reparks,
+        wakes: report.wakes,
+    };
     let cores = (0..sys.cpus())
         .map(|i| {
             let c = sys.core(i);
@@ -57,6 +71,9 @@ fn outcome(sys: &System) -> (Outcome, u64) {
         .collect();
     let report = SystemReport {
         parked_steps: 0,
+        loop_parks: 0,
+        reparks: 0,
+        wakes: 0,
         ..report
     };
     (Outcome { report, cores }, parked)
@@ -70,8 +87,8 @@ fn system(cfg: SystemConfig, reference: bool) -> System {
 }
 
 /// Runs one pool point twice — reference and parked — and checks they
-/// agree. Returns the parked run's `parked_steps` and stall retries.
-fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64) -> (u64, u64) {
+/// agree. Returns the parked run's parking counters and stall retries.
+fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64) -> (Parking, u64) {
     let run = |reference: bool| {
         let wl = PoolWorkload::new(PoolLayout::new(pool, vars), method, 7);
         let mut sys = system(SystemConfig::with_cpus(cpus).seed(7), reference);
@@ -82,11 +99,11 @@ fn pool_point(method: SyncMethod, vars: usize, pool: u64, cpus: usize, ops: u64)
     let (want, want_sum, want_cpu, none) = run(true);
     let (got, sum, per_cpu, parked) = run(false);
     let point = format!("{method:?} pool {pool} x{vars} at {cpus} CPUs");
-    assert_eq!(none, 0, "{point}: the step log must keep parking off");
+    assert_eq!(none.steps, 0, "{point}: the step log must keep parking off");
     assert_eq!(got, want, "{point}");
     assert_eq!(sum, want_sum, "{point}: pool sum");
     assert_eq!(per_cpu, want_cpu, "{point}: per-CPU ops and op cycles");
-    assert!(parked > 0, "{point}: nothing parked");
+    assert!(parked.steps > 0, "{point}: nothing parked");
     (parked, got.report.stalls)
 }
 
@@ -98,10 +115,20 @@ fn coarse_lock_points_match_stepping() {
 }
 
 #[test]
+fn a_lock_herd_parks_again_from_its_templates() {
+    // Each lock handoff wakes the spinners; the losers of the CSG race
+    // come back to the loop they confirmed and park again at once.
+    let (parked, _) = pool_point(SyncMethod::CoarseLock, 4, 10, 100, 3);
+    assert!(parked.reparks > parked.loop_parks, "{parked:?}");
+    assert!(parked.wakes >= parked.reparks, "{parked:?}");
+}
+
+#[test]
 fn coarse_lock_on_a_sparse_pool_parks_most_steps() {
     // The lock holder's pool lines miss; its spinners keep their last
     // non-transactional stores in the gathering store cache all along.
     let (parked, _) = pool_point(SyncMethod::CoarseLock, 4, 10_000, 60, 1);
+    let parked = parked.steps;
     let steps = {
         let wl = PoolWorkload::new(PoolLayout::new(10_000, 4), SyncMethod::CoarseLock, 7);
         let mut sys = System::new(SystemConfig::with_cpus(60).seed(7));
@@ -145,6 +172,7 @@ fn tbegin_points_match_stepping() {
 #[test]
 fn tbeginc_at_twenty_cpus_parks_most_stalls() {
     let (parked, stalls) = pool_point(SyncMethod::Tbeginc, 4, 10, 20, 4);
+    let parked = parked.steps;
     assert!(parked * 2 > stalls, "{parked} parked of {stalls} stalls");
 }
 
@@ -153,9 +181,9 @@ const Y: u64 = 0xB0_0000;
 const W: u64 = 0xC0_0000;
 
 /// Runs `progs` (one per CPU) to the end twice — reference and parked —
-/// and checks they agree. Returns the parked run's outcome and
-/// `parked_steps`.
-fn compare(progs: &[Program]) -> (Outcome, u64) {
+/// and checks they agree. Returns the parked run's outcome and parking
+/// counters.
+fn compare(progs: &[Program]) -> (Outcome, Parking) {
     let run = |reference: bool| {
         let mut sys = system(SystemConfig::with_cpus(progs.len()), reference);
         for (i, p) in progs.iter().enumerate() {
@@ -166,7 +194,7 @@ fn compare(progs: &[Program]) -> (Outcome, u64) {
     };
     let (want, none) = run(true);
     let (got, parked) = run(false);
-    assert_eq!(none, 0, "the step log must keep parking off");
+    assert_eq!(none.steps, 0, "the step log must keep parking off");
     assert_eq!(got, want);
     (got, parked)
 }
@@ -199,7 +227,7 @@ fn a_cross_hold_ends_in_the_same_reject_hang() {
     // step as in the stepped reference.
     let (got, parked) = compare(&[cross_holder(X, Y), cross_holder(Y, X)]);
     assert_eq!(got.report.tx.aborts_by_code.get(&16), Some(&1), "{got:?}");
-    assert!(parked > 0, "nothing stall-parked");
+    assert!(parked.steps > 0, "nothing stall-parked");
     let aborted: Vec<_> = got.cores.iter().filter(|c| c.grs[9] == 1).collect();
     assert!(aborted.len() == 1 && aborted[0].grs[8] > 0, "{got:?}");
     let threshold = u64::from(SystemConfig::with_cpus(2).geometry.xi_reject_threshold);
@@ -269,7 +297,7 @@ fn an_accepted_xi_wakes_a_stalled_cpu() {
         a.assemble().unwrap()
     };
     let (got, parked) = compare(&[holder, reader, writer]);
-    assert!(parked > 0, "nothing stall-parked");
+    assert!(parked.steps > 0, "nothing stall-parked");
     // The reader parks at ~1,660 with its deadline at ~2,280; the store
     // to W lands at ~1,810, and the abort handler runs ~270 cycles later.
     let reader = &got.cores[1];
@@ -367,9 +395,48 @@ fn tdb_store_to_a_polled_line_releases_the_pollers() {
     };
     let (want, _) = run(true);
     let (got, parked) = run(false);
-    assert!(parked > 0, "the pollers never parked");
+    assert!(parked.steps > 0, "the pollers never parked");
     assert_eq!(got, want);
     assert!(got.cores[1..].iter().all(|c| c.grs[9] != 0));
+}
+
+#[test]
+fn a_poller_whose_period_depends_on_the_value_it_discards() {
+    // The poller overwrites the value it reads, so every loop head has the
+    // same registers whatever `FLAG` holds; only the loop's period (the
+    // `DELAY 10`, skipped when it reads 3) tells the values apart. Storing
+    // the same value again wakes the pollers, and they park again at once;
+    // storing a new one must not let them park again on the old period.
+    let poller = {
+        let mut a = Assembler::new(0);
+        a.label("poll");
+        a.lg(R1, MemOperand::absolute(FLAG));
+        a.cghi(R1, 9);
+        a.jz("out");
+        a.cghi(R1, 3);
+        a.jz("skip");
+        a.delay(10);
+        a.label("skip");
+        a.lghi(R1, 0);
+        a.ltgr(R0, R0);
+        a.j("poll");
+        a.label("out");
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let writer = {
+        let mut a = Assembler::new(0);
+        for v in [0, 3, 3, 9] {
+            a.delay(1_000);
+            a.lghi(R1, v);
+            a.stg(R1, MemOperand::absolute(FLAG));
+        }
+        a.halt();
+        a.assemble().unwrap()
+    };
+    let (got, parked) = compare(&[writer, poller.clone(), poller]);
+    assert!(parked.reparks >= 2 && parked.loop_parks >= 4, "{parked:?}");
+    assert!(got.cores.iter().all(|c| !c.running));
 }
 
 #[test]
@@ -418,7 +485,7 @@ fn broadcast_stop_wakes_parked_cpus() {
     let (want, _) = run(true);
     let (got, parked) = run(false);
     assert!(got.report.tx.broadcast_stops > 0, "no quiesce was taken");
-    assert!(parked > 0, "nothing parked");
+    assert!(parked.steps > 0, "nothing parked");
     assert_eq!(got, want);
 }
 
@@ -481,20 +548,29 @@ const SHARED: u64 = 0xD1_0000;
 /// begin/end, forward-only conditional branches (labels sit at every op
 /// boundary, so targets land anywhere ahead), Figure 1 lock sections and
 /// contended TBEGINC and TBEGIN read-modify-writes of `SHARED`; a bounded
-/// outer `brctg` loop re-runs it a few times. CPU 0 raises `FLAG` after
-/// `lead` cycles, and every other CPU polls it before starting, so
-/// multi-CPU cases start with spinners — and then contend on the lock and
-/// `SHARED`.
+/// outer `brctg` loop re-runs it a few times. Every CPU but CPU 0 polls
+/// `FLAG` until it reads 2 before starting; CPU 0 stores 0, 1, 1, 0 and 0
+/// to it after `lead` cycles, some time apart, and then 2. So multi-CPU
+/// cases start with spinners that each store wakes — and then contend on
+/// the lock and `SHARED`.
 fn random_program(cpu: usize, lead: u64, ops: &[(u8, u8)]) -> Program {
     let mut a = Assembler::new(0);
     if cpu == 0 {
+        // Many-waiter release: each store wakes every poller, and one that
+        // repeats the value they last read lets them park again at once.
         a.delay(lead);
-        a.lghi(R1, 1);
+        for v in [0, 1, 1, 0, 0] {
+            a.lghi(R1, v);
+            a.stg(R1, MemOperand::absolute(FLAG));
+            a.delay(100 + lead / 8);
+        }
+        a.lghi(R1, 2);
         a.stg(R1, MemOperand::absolute(FLAG));
     } else {
         a.label("flag");
         a.ltg(R1, MemOperand::absolute(FLAG));
-        a.jnz("go");
+        a.cghi(R1, 2);
+        a.jz("go");
         a.delay(24);
         a.j("flag");
         a.label("go");
@@ -610,7 +686,7 @@ fn random_programs_agree_with_stepping() {
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     const CASES: u64 = 96;
     let mut rng = SmallRng::seed_from_u64(0x9A4C);
-    let mut parking_cases = 0;
+    let (mut parking_cases, mut reparks) = (0, 0);
     for case in 0..CASES {
         let len = rng.gen_range(1..80usize);
         let ops: Vec<(u8, u8)> = (0..len)
@@ -636,18 +712,23 @@ fn random_programs_agree_with_stepping() {
         let mut parked = load();
         parked.run_until_halt(2_000_000);
         let (want, none) = outcome(&stepped);
-        let (got, parked_steps) = outcome(&parked);
-        assert_eq!(none, 0, "case {case}: the step log must keep parking off");
+        let (got, parking) = outcome(&parked);
+        assert_eq!(
+            none.steps, 0,
+            "case {case}: the step log must keep parking off"
+        );
         assert_eq!(got, want, "case {case}: {cpus} CPUs, ops {ops:?}");
         assert_eq!(
             touched_memory(&parked),
             touched_memory(&stepped),
             "case {case}: memory"
         );
-        parking_cases += u64::from(parked_steps > 0);
+        parking_cases += u64::from(parking.steps > 0);
+        reparks += parking.reparks;
     }
     assert!(
         parking_cases * 3 >= CASES * 2,
         "only {parking_cases} of {CASES} cases parked"
     );
+    assert!(reparks > 0, "no case parked again from a template");
 }
